@@ -74,7 +74,7 @@ void BM_OdrParallel(benchmark::State& state) {
   const Placement p = linear_placement(torus);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        odr_loads_parallel(torus, p, threads).max_load());
+        odr_loads(torus, p, TieBreak::PositiveOnly, threads).max_load());
   }
   state.counters["threads"] = threads;
 }

@@ -40,14 +40,20 @@ PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
   PlacementPlan plan{std::move(*placement), kind, nullptr, 0.0, false, 0.0,
                      ""};
 
+  std::string note;
   {
     TP_OBS_SCOPE("plan.route");
     plan.router = make_router(kind);
     switch (kind) {
       case RouterKind::Odr:
         if (t == 1 && d >= 3) {
-          plan.predicted_emax = odr_linear_emax(k, d);
+          // The measured maximum sits on first/last-dimension links; the
+          // paper's Sec. 6.1 count is the interior-dimension maximum only
+          // (EXPERIMENTS.md, E7) and is reported as a note.
+          plan.predicted_emax = odr_linear_emax_overall(k, d);
           plan.prediction_exact = true;
+          note = ", paper Sec. 6.1 interior-link count " +
+                 std::to_string(odr_linear_emax(k, d));
         } else {
           plan.predicted_emax = multiple_odr_upper(t, k, d);
           plan.prediction_exact = false;
@@ -75,7 +81,7 @@ PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
                  ", predicted E_max " +
                  (plan.prediction_exact ? "= " : "<= ") +
                  std::to_string(plan.predicted_emax) + ", lower bound " +
-                 std::to_string(plan.lower_bound);
+                 std::to_string(plan.lower_bound) + note;
   return plan;
 }
 
@@ -86,21 +92,13 @@ LoadMap measure_loads(const Torus& torus, const Placement& p,
 
 LoadMap measure_loads(const Torus& torus, const Placement& p,
                       RouterKind kind, i32 threads) {
-  return measure_loads(torus, p, kind, threads, /*use_table=*/false);
-}
-
-LoadMap measure_loads(const Torus& torus, const Placement& p,
-                      RouterKind kind, i32 threads, bool use_table) {
   TP_OBS_SCOPE("plan.measure");
   TP_REQUIRE(threads >= 1, "need at least one analyzer thread");
   switch (kind) {
     case RouterKind::Odr:
-      if (use_table) return odr_loads_table(torus, p);
-      return threads == 1 ? odr_loads(torus, p)
-                          : odr_loads_parallel(torus, p, threads);
+      return odr_loads(torus, p, TieBreak::PositiveOnly, threads);
     case RouterKind::Udr:
-      return threads == 1 ? udr_loads(torus, p)
-                          : udr_loads_parallel(torus, p, threads);
+      return udr_loads(torus, p, TieBreak::PositiveOnly, threads);
     case RouterKind::Adaptive:
       return adaptive_loads(torus, p);
   }

@@ -55,20 +55,10 @@ LoadMap measure_loads(const Torus& torus, const Placement& p,
 
 /// Exact loads computed with `threads` analyzer workers.  Callers that own
 /// a worker pool (the service engine) pass their configured width instead
-/// of sizing each call off hardware_concurrency.  threads == 1 is the
-/// serial path; ODR parallel results are bit-identical to serial at any
-/// width, UDR matches to ~1 ulp for a fixed width, and Adaptive has no
-/// parallel analyzer (threads is ignored).
+/// of sizing each call off hardware_concurrency.  ODR and UDR results are
+/// bit-identical at every width; Adaptive has no parallel analyzer
+/// (threads is ignored).
 LoadMap measure_loads(const Torus& torus, const Placement& p,
                       RouterKind kind, i32 threads);
-
-/// As above, optionally routing ODR through a precompiled next-hop table
-/// (odr_loads_table) instead of the segment-walk analyzer.  The results
-/// are identical — the table is an implementation strategy, not a
-/// different router — so cached query results stay valid either way.
-/// Only ODR has a table-driven analyzer; other kinds ignore `use_table`.
-/// The table path is serial (threads is ignored when it is taken).
-LoadMap measure_loads(const Torus& torus, const Placement& p,
-                      RouterKind kind, i32 threads, bool use_table);
 
 }  // namespace tp

@@ -1,30 +1,188 @@
 #include "src/load/complete_exchange.h"
 
-#include <memory>
+#include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "src/obs/obs.h"
 #include "src/routing/odr.h"
-#include "src/routing/table_router.h"
 #include "src/routing/udr.h"
 #include "src/util/combinatorics.h"
-#include "src/util/parallel.h"
 #include "src/util/error.h"
+#include "src/util/parallel.h"
 
 namespace tp {
 
-using routing_detail::allowed_dirs;
-using routing_detail::steps_in_dir;
-
 namespace {
 
-/// Minimum source-destination pairs per worker before the parallel load
-/// analyzers fan out.  One pair costs roughly d segment walks (~hundreds
-/// of ns); a spawned-and-joined thread costs tens of µs, so each worker
-/// needs thousands of pairs to amortize it.  4096 puts the T8^3 linear
-/// placement (64·63 = 4032 pairs) on the serial path — the BENCH_4
-/// odr_loads_parallel4 regression — while T16^3 (4096·4095 pairs) still
-/// fans out fully.
-constexpr i64 kMinPairsPerWorker = 4096;
+/// Minimum source-destination pairs per worker before the ring kernel fans
+/// out.  An ODR pair costs ~20 ns (a few branch-free difference-array
+/// updates per dimension), a UDR pair a few times that; spawning and
+/// joining a worker and reducing its private array costs tens of µs.
+/// 16384 pairs give each worker ~10x its own overhead: the T8^3 linear
+/// placement (64·63 = 4032 pairs) stays serial, T16^3 (256·255) takes
+/// three workers.
+constexpr i64 kMinPairsPerWorker = 16384;
+
+/// Every integer of magnitude below 2^53 converts to double exactly.
+constexpr i64 kExactInDouble = i64{1} << 53;
+
+/// Ring geometry, decoded once per call.  A ring is the k nodes that differ
+/// only in one dimension.  Link ids are node·2d + 2·dim + (0 for +, 1 for -),
+/// so the link of ring coordinate x on the ring whose coordinate-0 link is
+/// `ring` has id ring + x·edge_stride[dim]: a difference array laid out like
+/// the LoadMap needs no extra slots.
+struct Rings {
+  explicit Rings(const Torus& torus)
+      : per_node(2 * torus.dims()), unit(2 * factorial(torus.dims())) {
+    for (i32 dim = 0; dim < torus.dims(); ++dim) {
+      radix.push_back(torus.radix(dim));
+      stride.push_back(torus.stride(dim));
+      edge_stride.push_back(stride.back() * per_node);
+    }
+  }
+
+  i64 per_node;
+  /// Accumulation units per unit of load: 1/(2·d!) divides every ODR and
+  /// UDR segment weight.
+  i64 unit;
+  SmallVec<i64> radix, stride, edge_stride;
+};
+
+/// One arc of a correction: `len` links of dimension `dim` in direction
+/// slot `slot` (2·dim + dir bit) starting at ring coordinate `lo`.
+struct Arc {
+  std::size_t dim;
+  i64 slot, lo, len;
+};
+
+/// The full correction of one dimension from ring coordinate a to b != a:
+/// one arc, or two carrying half the weight each when a tie is split both
+/// ways.  A Pos arc covers the + links of coordinates a..b-1, a Neg arc
+/// the - links of b+1..a (cyclically).
+struct Correction {
+  /// Counts the tie in `ties` once, as allowed_dirs() does.  The common
+  /// single-arc case is selected without branches: the direction is
+  /// data-dependent noise to a branch predictor.
+  Correction(const Rings& g, std::size_t dim, i64 a, i64 b, TieBreak tie,
+             i64& ties) {
+    const i64 k = g.radix[dim];
+    const i64 fwd = b >= a ? b - a : b - a + k;
+    const i64 bwd = k - fwd;
+    const auto d2 = static_cast<i64>(2 * dim);
+    const i64 neg_lo = b + 1 == k ? 0 : b + 1;
+    const bool pos = fwd <= bwd;  // a tie takes + first
+    arcs[0] = Arc{dim, pos ? d2 : d2 + 1, pos ? a : neg_lo, pos ? fwd : bwd};
+    arcs[1] = Arc{dim, d2 + 1, neg_lo, bwd};
+    if (fwd != bwd) return;
+    ++ties;
+    if (tie == TieBreak::BothDirections) split = true;
+  }
+
+  /// Adds `w` (even) units on the ring through node `base` (coordinate 0 in
+  /// this dimension).
+  void add(i64* diff, const Rings& g, i64 base, i64 w) const {
+    if (!split) {
+      add_arc(diff, g, base, arcs[0], w);
+      return;
+    }
+    add_arc(diff, g, base, arcs[0], w / 2);
+    add_arc(diff, g, base, arcs[1], w / 2);
+  }
+
+  /// +w where the arc starts and -w one past its end; an arc that reaches
+  /// or wraps past coordinate k-1 also restarts at 0.  The three updates
+  /// always happen (the restart adds 0 when the arc does not wrap), so
+  /// there is no branch to mispredict.
+  static void add_arc(i64* diff, const Rings& g, i64 base, const Arc& arc,
+                      i64 w) {
+    const i64 k = g.radix[arc.dim];
+    const i64 es = g.edge_stride[arc.dim];
+    const i64 ring = base * g.per_node + arc.slot;
+    const i64 end = arc.lo + arc.len;
+    const i64 wrap = end >= k ? 1 : 0;
+    diff[ring + arc.lo * es] += w;
+    diff[ring] += wrap * w;
+    diff[ring + (end - wrap * k) * es] -= w;
+  }
+
+  Arc arcs[2];
+  bool split = false;
+};
+
+/// The one ODR/UDR load kernel.  `per_pair(diff, src, dst, src_node, ties)`
+/// adds one ordered pair's correction segments (src/dst: coordinate
+/// arrays) to a difference array.  The sources are partitioned over up to
+/// `threads` workers, each with a private i64 array; the arrays are summed
+/// as integers, prefix-summed once along every ring and divided once per
+/// link, so the result is the correctly rounded exact load and
+/// bit-identical for every thread count.
+template <typename PerPair>
+LoadMap ring_loads(const Torus& torus, const Rings& g, const Placement& p,
+                   i32 threads, PerPair&& per_pair) {
+  p.check_torus(torus);
+  TP_REQUIRE(threads >= 1, "need at least one analyzer thread");
+  const i64 n = p.size();
+  // A pair puts at most one unit of load (g.unit units) on a link, so no
+  // link or partial sum exceeds |P|(|P|-1)·g.unit: below 2^53 the final
+  // conversion is exact and the one division correctly rounded.
+  TP_REQUIRE(n < (i64{1} << 26) && n * (n - 1) < kExactInDouble / g.unit,
+             "placement too large for exact fixed-point loads");
+  const i64 pairs = n * (n - 1);
+  TP_OBS_COUNT("load.pairs_evaluated", pairs);
+
+  const auto d = static_cast<std::size_t>(torus.dims());
+  std::vector<i64> coords;
+  coords.reserve(static_cast<std::size_t>(n) * d);
+  for (const NodeId node : p.nodes())
+    for (i32 dim = 0; dim < torus.dims(); ++dim)
+      coords.push_back(torus.coord_of(node, dim));
+
+  const auto num_edges = static_cast<std::size_t>(torus.num_directed_edges());
+  const i32 workers = effective_workers(pairs, threads, kMinPairsPerWorker);
+  std::vector<std::vector<i64>> diff(static_cast<std::size_t>(workers),
+                                     std::vector<i64>(num_edges, 0));
+  // Registry counters are not atomic (obs/registry.h): workers tally ties
+  // into their own slot and the total is recorded once after the join.
+  std::vector<i64> ties(static_cast<std::size_t>(workers), 0);
+  parallel_for_blocks(n, workers, [&](i32 worker, i64 lo, i64 hi) {
+    const auto w = static_cast<std::size_t>(worker);
+    for (auto si = static_cast<std::size_t>(lo);
+         si < static_cast<std::size_t>(hi); ++si) {
+      TP_PROF_PHASE("ring.diff");
+      for (std::size_t di = 0; di < p.nodes().size(); ++di)
+        if (di != si)
+          per_pair(diff[w].data(), &coords[si * d], &coords[di * d],
+                   p.nodes()[si], ties[w]);
+    }
+  });
+  i64 total_ties = 0;
+  for (const i64 t : ties) total_ties += t;
+  if (total_ties > 0) TP_OBS_COUNT("router.tie_breaks", total_ties);
+
+  TP_PROF_PHASE("ring.prefix");
+  std::vector<i64>& acc = diff[0];
+  for (std::size_t w = 1; w < diff.size(); ++w)
+    for (std::size_t e = 0; e < num_edges; ++e) acc[e] += diff[w][e];
+  for (std::size_t dim = 0; dim < d; ++dim) {
+    const i64 k = g.radix[dim];
+    const i64 stride = g.stride[dim];
+    const auto es = static_cast<std::size_t>(g.edge_stride[dim]);
+    for (i64 hi = 0; hi < torus.num_nodes(); hi += stride * k) {
+      for (i64 lo = 0; lo < stride; ++lo) {
+        auto e = static_cast<std::size_t>((hi + lo) * g.per_node) + 2 * dim;
+        for (i64 x = 1; x < k; ++x, e += es) {
+          acc[e + es] += acc[e];
+          acc[e + es + 1] += acc[e + 1];
+        }
+      }
+    }
+  }
+  std::vector<double> loads(num_edges);
+  for (std::size_t e = 0; e < num_edges; ++e)
+    loads[e] = static_cast<double>(acc[e]) / static_cast<double>(g.unit);
+  return LoadMap(torus, std::move(loads));
+}
 
 }  // namespace
 
@@ -45,304 +203,78 @@ LoadMap reference_loads(const Torus& torus, const Placement& p,
   return loads;
 }
 
-namespace {
-
-/// Adds `weight` to every link of the correction segment of dimension
-/// `dim` starting at `node`, moving toward coordinate `to` in direction
-/// `dir`.  Returns the node where the segment ends.
-NodeId add_segment(const Torus& torus, LoadMap& loads, NodeId node, i32 dim,
-                   i32 to, Dir dir, double weight) {
-  const i32 from = torus.coord_of(node, dim);
-  const i64 steps = steps_in_dir(torus, dim, from, to, dir);
-  NodeId cur = node;
-  for (i64 s = 0; s < steps; ++s) {
-    loads.add(torus.edge_id(cur, dim, dir), weight);
-    cur = torus.neighbor(cur, dim, dir);
-  }
-  return cur;
-}
-
-}  // namespace
-
-LoadMap odr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
+LoadMap odr_loads(const Torus& torus, const Placement& p, TieBreak tie,
+                  i32 threads) {
   SmallVec<i32> identity;
   for (i32 dim = 0; dim < torus.dims(); ++dim) identity.push_back(dim);
-  return odr_loads_ordered(torus, p, identity, tie);
+  return odr_loads_ordered(torus, p, identity, tie, threads);
 }
-
-namespace {
-
-/// Accumulates ODR contributions of sources p.nodes()[src_lo..src_hi).
-void accumulate_odr(const Torus& torus, const Placement& p,
-                    const SmallVec<i32>& order, TieBreak tie,
-                    LoadMap& loads, i64 src_lo, i64 src_hi);
-
-/// Accumulates UDR contributions of sources p.nodes()[src_lo..src_hi).
-void accumulate_udr(const Torus& torus, const Placement& p, TieBreak tie,
-                    LoadMap& loads, i64 src_lo, i64 src_hi);
-
-}  // namespace
 
 LoadMap odr_loads_ordered(const Torus& torus, const Placement& p,
-                          const SmallVec<i32>& order, TieBreak tie) {
+                          const SmallVec<i32>& order, TieBreak tie,
+                          i32 threads) {
   TP_OBS_SCOPE("load.odr");
-  p.check_torus(torus);
-  TP_OBS_COUNT("load.pairs_evaluated", p.size() * (p.size() - 1));
-  OdrRouter(order, tie).correction_order(torus);  // validate permutation
-  LoadMap loads(torus);
-  accumulate_odr(torus, p, order, tie, loads, 0, p.size());
-  return loads;
-}
-
-LoadMap odr_loads_parallel(const Torus& torus, const Placement& p,
-                           i32 threads, TieBreak tie) {
-  p.check_torus(torus);
-  SmallVec<i32> order;
-  for (i32 dim = 0; dim < torus.dims(); ++dim) order.push_back(dim);
-  // Work-size cutover (see util/parallel.h): small tori run serial —
-  // below ~kMinPairsPerWorker pairs per worker, spawn/join plus the
-  // per-edge reduction costs more than the parallelism saves.  The serial
-  // path computes the identical map (same order, same tie break), so the
-  // cutover is invisible to callers.
-  if (effective_workers(p.size() * (p.size() - 1), threads,
-                        kMinPairsPerWorker) == 1)
-    return odr_loads_ordered(torus, p, order, tie);
-  TP_OBS_SCOPE("load.odr");
-  std::vector<LoadMap> partial(static_cast<std::size_t>(threads),
-                               LoadMap(torus));
-  // Registry counters are not atomic (obs/registry.h): workers tally into
-  // their own slot and the total is recorded once after the join, so
-  // load.pairs_evaluated is exact for any thread count.
-  std::vector<i64> pairs(static_cast<std::size_t>(threads), 0);
-  parallel_for_blocks(p.size(), threads, [&](i32 worker, i64 lo, i64 hi) {
-    accumulate_odr(torus, p, order, tie,
-                   partial[static_cast<std::size_t>(worker)], lo, hi);
-    pairs[static_cast<std::size_t>(worker)] += (hi - lo) * (p.size() - 1);
-  });
-  i64 total_pairs = 0;
-  for (i64 n : pairs) total_pairs += n;
-  TP_OBS_COUNT("load.pairs_evaluated", total_pairs);
-  LoadMap loads(torus);
-  for (const LoadMap& part : partial)
-    for (EdgeId e = 0; e < torus.num_directed_edges(); ++e)
-      loads.add(e, part[e]);
-  return loads;
-}
-
-LoadMap udr_loads_parallel(const Torus& torus, const Placement& p,
-                           i32 threads, TieBreak tie) {
-  p.check_torus(torus);
-  // Same work-size cutover as odr_loads_parallel; udr_loads is the exact
-  // subset-weight computation, so the serial path is bit-identical (the
-  // parallel reduce can differ by ~1 ulp, never the other way).
-  if (effective_workers(p.size() * (p.size() - 1), threads,
-                        kMinPairsPerWorker) == 1)
-    return udr_loads(torus, p, tie);
-  TP_OBS_SCOPE("load.udr");
-  std::vector<LoadMap> partial(static_cast<std::size_t>(threads),
-                               LoadMap(torus));
-  // Same per-worker tally + post-join reduce as odr_loads_parallel.
-  std::vector<i64> pairs(static_cast<std::size_t>(threads), 0);
-  parallel_for_blocks(p.size(), threads, [&](i32 worker, i64 lo, i64 hi) {
-    accumulate_udr(torus, p, tie, partial[static_cast<std::size_t>(worker)],
-                   lo, hi);
-    pairs[static_cast<std::size_t>(worker)] += (hi - lo) * (p.size() - 1);
-  });
-  i64 total_pairs = 0;
-  for (i64 n : pairs) total_pairs += n;
-  TP_OBS_COUNT("load.pairs_evaluated", total_pairs);
-  LoadMap loads(torus);
-  for (const LoadMap& part : partial)
-    for (EdgeId e = 0; e < torus.num_directed_edges(); ++e)
-      loads.add(e, part[e]);
-  return loads;
-}
-
-namespace {
-
-/// One weighted correction segment produced by the route pass: walk from
-/// `node` along `dim` in `dir` until coordinate `to`, adding `weight` to
-/// every link.
-struct OdrSegment {
-  NodeId node;
-  i32 dim;
-  i32 to;
-  Dir dir;
-  double weight;
-};
-
-void accumulate_odr(const Torus& torus, const Placement& p,
-                    const SmallVec<i32>& order, TieBreak tie,
-                    LoadMap& loads, i64 src_lo, i64 src_hi) {
-  // Two passes per source, so route enumeration and the link-load walk
-  // profile as separate phases (odr.route / odr.walk) at a grain coarse
-  // enough that the attribution does not distort what it measures.  The
-  // segment list preserves the fused loop's add order exactly (pairs in
-  // placement order, dims in correction order, directions in tie order),
-  // so the accumulated map is bit-identical to the previous single-pass
-  // form.
-  std::vector<OdrSegment> segs;
-  segs.reserve(static_cast<std::size_t>(p.size()) * order.size());
-  for (i64 si = src_lo; si < src_hi; ++si) {
-    const NodeId src = p.nodes()[static_cast<std::size_t>(si)];
-    segs.clear();
-    {
-      TP_PROF_PHASE("odr.route");
-      for (NodeId dst : p.nodes()) {
-        if (src == dst) continue;
-        // Dimensions are corrected in order; the node state entering each
-        // dimension is deterministic (earlier dims at dst, later at src)
-        // regardless of any tie direction taken earlier, so each
-        // dimension's segment(s) can be enumerated without walking links.
-        Coord c = torus.coord(src);
-        NodeId node = src;
-        for (std::size_t idx = 0; idx < order.size(); ++idx) {
-          const i32 dim = order[idx];
-          const i32 a = c[static_cast<std::size_t>(dim)];
-          const i32 b = torus.coord_of(dst, dim);
-          const auto dirs = allowed_dirs(torus, dim, a, b, tie);
-          if (dirs.empty()) continue;
-          const double w = 1.0 / static_cast<double>(dirs.size());
-          for (std::size_t i = 0; i < dirs.size(); ++i) {
-            const Dir dir = dirs[i] > 0 ? Dir::Pos : Dir::Neg;
-            segs.push_back(OdrSegment{node, dim, b, dir, w});
-          }
-          c[static_cast<std::size_t>(dim)] = b;
-          node = torus.node_id(c);
+  const SmallVec<i32> ord = OdrRouter(order, tie).correction_order(torus);
+  const Rings g(torus);
+  return ring_loads(
+      torus, g, p, threads,
+      [&](i64* diff, const i64* src, const i64* dst, i64 node, i64& ties) {
+        // Entering dimension ord[idx], the packet sits at dst in the
+        // dimensions corrected before it and at src in the rest; that
+        // state does not depend on any tie direction taken earlier.
+        for (const i32 o : ord) {
+          const auto dim = static_cast<std::size_t>(o);
+          if (src[dim] == dst[dim]) continue;
+          const i64 base = node - src[dim] * g.stride[dim];
+          Correction(g, dim, src[dim], dst[dim], tie, ties)
+              .add(diff, g, base, g.unit);
+          node = base + dst[dim] * g.stride[dim];
         }
-        TP_ASSERT(node == dst, "ODR load walk did not reach destination");
-      }
-    }
-    {
-      TP_PROF_PHASE("odr.walk");
-      for (const OdrSegment& s : segs)
-        add_segment(torus, loads, s.node, s.dim, s.to, s.dir, s.weight);
-    }
-  }
+      });
 }
 
-void accumulate_udr(const Torus& torus, const Placement& p, TieBreak tie,
-                    LoadMap& loads, i64 src_lo, i64 src_hi) {
-  // Precompute m!(s-1-m)!/s! for all m < s <= kMaxDims.
-  double order_weight[kMaxDims + 1][kMaxDims] = {};
-  for (std::size_t s = 1; s <= kMaxDims; ++s)
+LoadMap udr_loads(const Torus& torus, const Placement& p, TieBreak tie,
+                  i32 threads) {
+  TP_OBS_SCOPE("load.udr");
+  const Rings g(torus);
+  const std::size_t d = static_cast<std::size_t>(torus.dims());
+  // Correcting dimension j after the subset S of the other s-1 differing
+  // dimensions happens in m!(s-1-m)!/s! of all s! orders (m = |S|): in
+  // units of 1/(2·d!) that is m!(s-1-m)!·(d!/s!)·2.
+  i64 order_units[kMaxDims + 1][kMaxDims] = {};
+  for (std::size_t s = 1; s <= d; ++s)
     for (std::size_t m = 0; m < s; ++m)
-      order_weight[s][m] =
-          static_cast<double>(factorial(static_cast<i64>(m)) *
-                              factorial(static_cast<i64>(s - 1 - m))) /
-          static_cast<double>(factorial(static_cast<i64>(s)));
-
-  for (i64 si = src_lo; si < src_hi; ++si) {
-    const NodeId src = p.nodes()[static_cast<std::size_t>(si)];
-    for (NodeId dst : p.nodes()) {
-      if (src == dst) continue;
-      const SmallVec<i32> diff = UdrRouter::differing_dims(torus, src, dst);
-      const std::size_t s = diff.size();
-      // For each dimension j being corrected, and each subset S of the
-      // other differing dimensions corrected before j, the walk enters the
-      // j-segment at the node whose S-dims sit at dst and the rest at src.
-      // That state is independent of the directions taken in S, so the
-      // direction choice only matters for the j-segment itself.
-      for (std::size_t ji = 0; ji < s; ++ji) {
-        const i32 j = diff[ji];
-        const i32 a = torus.coord_of(src, j);
-        const i32 b = torus.coord_of(dst, j);
-        const auto dirs = allowed_dirs(torus, j, a, b, tie);
-        TP_ASSERT(!dirs.empty(), "differing dim with no direction");
-        const double dir_w = 1.0 / static_cast<double>(dirs.size());
-        // Other differing dims, as a compact array for subset masking.
-        SmallVec<i32> others;
-        for (std::size_t i = 0; i < s; ++i)
-          if (i != ji) others.push_back(diff[i]);
-        const int n_others = static_cast<int>(others.size());
-        for_each_subset(n_others, [&](std::uint32_t mask) {
-          const double w =
-              order_weight[s][static_cast<std::size_t>(popcount32(mask))] *
-              dir_w;
-          // Build the entry node: dims in mask already corrected to dst.
-          NodeId node = src;
-          for (int oi = 0; oi < n_others; ++oi) {
-            if (!(mask & (1u << oi))) continue;
-            const i32 od = others[static_cast<std::size_t>(oi)];
-            const i64 stride_move =
-                static_cast<i64>(torus.coord_of(dst, od)) -
-                torus.coord_of(node, od);
-            // Move coordinate od of node to dst's value.
-            node = torus.node_id([&] {
-              Coord c = torus.coord(node);
-              c[static_cast<std::size_t>(od)] = torus.coord_of(dst, od);
-              return c;
-            }());
-            (void)stride_move;
+      order_units[s][m] = factorial(static_cast<i64>(m)) *
+                          factorial(static_cast<i64>(s - 1 - m)) *
+                          (g.unit / factorial(static_cast<i64>(s)));
+  return ring_loads(
+      torus, g, p, threads,
+      [&](i64* diff, const i64* src, const i64* dst, i64 src_node,
+          i64& ties) {
+        SmallVec<std::size_t> diff_dims;
+        for (std::size_t dim = 0; dim < d; ++dim)
+          if (src[dim] != dst[dim]) diff_dims.push_back(dim);
+        const std::size_t s = diff_dims.size();
+        for (const std::size_t j : diff_dims) {
+          const Correction c(g, j, src[j], dst[j], tie, ties);
+          // The j-segment enters with the dimensions of the subset already
+          // at dst: its ring base moves by (dst_i - src_i)·stride_i per
+          // corrected dimension i.  base[mask] lists every subset.
+          i64 base[std::size_t{1} << (kMaxDims - 1)];
+          base[0] = src_node - src[j] * g.stride[j];
+          std::size_t count = 1;
+          for (const std::size_t i : diff_dims) {
+            if (i == j) continue;
+            for (std::size_t m = 0; m < count; ++m)
+              base[count + m] = base[m] + (dst[i] - src[i]) * g.stride[i];
+            count *= 2;
           }
-          for (std::size_t di = 0; di < dirs.size(); ++di) {
-            const Dir dir = dirs[di] > 0 ? Dir::Pos : Dir::Neg;
-            add_segment(torus, loads, node, j, b, dir, w);
-          }
-        });
-      }
-    }
-  }
-}
-
-}  // namespace
-
-LoadMap udr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
-  TP_OBS_SCOPE("load.udr");
-  p.check_torus(torus);
-  TP_OBS_COUNT("load.pairs_evaluated", p.size() * (p.size() - 1));
-  LoadMap loads(torus);
-  accumulate_udr(torus, p, tie, loads, 0, p.size());
-  return loads;
-}
-
-LoadMap odr_loads_table(const Torus& torus, const Placement& p,
-                        TieBreak tie) {
-  TP_OBS_SCOPE("load.odr_table");
-  p.check_torus(torus);
-  TP_OBS_COUNT("load.pairs_evaluated", p.size() * (p.size() - 1));
-  LoadMap loads(torus);
-  const OdrRouter router(tie);
-  std::unique_ptr<RoutingTable> table;
-  {
-    TP_PROF_PHASE("table.compile");
-    table = std::make_unique<RoutingTable>(torus, p, router);
-  }
-  TP_PROF_PHASE("table.walk");
-  // Per-pair weighted propagation over the next-hop DAG.  Every hop is
-  // Lee-minimal, so a breadth level never revisits a node: processing
-  // level by level is a topological order and reconvergent weights merge
-  // before a node is expanded.
-  std::vector<double> weight(static_cast<std::size_t>(torus.num_nodes()),
-                             0.0);
-  std::vector<NodeId> frontier, next;
-  for (NodeId src : p.nodes()) {
-    for (NodeId dst : p.nodes()) {
-      if (src == dst) continue;
-      weight[static_cast<std::size_t>(src)] = 1.0;
-      frontier.assign(1, src);
-      while (!frontier.empty()) {
-        next.clear();
-        for (const NodeId u : frontier) {
-          const double w = weight[static_cast<std::size_t>(u)];
-          weight[static_cast<std::size_t>(u)] = 0.0;
-          const std::vector<EdgeId>& hops = table->next_hops(u, dst);
-          TP_ASSERT(!hops.empty(), "routing table dead-ends mid-walk");
-          const double share = w / static_cast<double>(hops.size());
-          for (const EdgeId e : hops) {
-            loads.add(e, share);
-            const NodeId v = torus.link(e).head;
-            if (v == dst) continue;
-            if (weight[static_cast<std::size_t>(v)] == 0.0)
-              next.push_back(v);
-            weight[static_cast<std::size_t>(v)] += share;
-          }
+          for (std::size_t mask = 0; mask < count; ++mask)
+            c.add(diff, g, base[mask],
+                  order_units[s][static_cast<std::size_t>(
+                      popcount32(static_cast<std::uint32_t>(mask)))]);
         }
-        frontier.swap(next);
-      }
-    }
-  }
-  return loads;
+      });
 }
 
 LoadMap udr_loads_enumerated(const Torus& torus, const Placement& p,
@@ -356,24 +288,51 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
   TP_OBS_SCOPE("load.adaptive");
   p.check_torus(torus);
   TP_OBS_COUNT("load.pairs_evaluated", p.size() * (p.size() - 1));
-  LoadMap loads(torus);
   const std::size_t d = static_cast<std::size_t>(torus.dims());
+  const i64 per_node = 2 * torus.dims();
 
+  // C(n, r) by Pascal's rule up to the largest Lee distance among the
+  // pairs: exact i64 values, -1 past i64, which fails only when looked up.
+  i64 max_lee = 0;
+  for (NodeId src : p.nodes())
+    for (NodeId dst : p.nodes())
+      max_lee = std::max(max_lee, torus.lee_distance(src, dst));
+  std::vector<std::vector<i64>> pascal;
+  for (std::size_t n = 0; n <= static_cast<std::size_t>(max_lee); ++n) {
+    pascal.emplace_back(n + 1, 1);
+    for (std::size_t r = 1; r < n; ++r) {
+      const i64 a = pascal[n - 1][r - 1], b = pascal[n - 1][r];
+      const bool fits =
+          a >= 0 && b >= 0 && a <= std::numeric_limits<i64>::max() - b;
+      pascal[n][r] = fits ? a + b : -1;
+    }
+  }
+  const auto binom = [&pascal](i64 n, i64 r) {
+    const i64 v =
+        pascal[static_cast<std::size_t>(n)][static_cast<std::size_t>(r)];
+    TP_REQUIRE(v >= 0, "binomial overflow");
+    return v;
+  };
+
+  std::vector<double> loads(
+      static_cast<std::size_t>(torus.num_directed_edges()), 0.0);
   for (NodeId src : p.nodes()) {
+    const Coord src_c = torus.coord(src);
     for (NodeId dst : p.nodes()) {
       if (src == dst) continue;
       // Per-dimension arc lengths and tie flags.
       SmallVec<i64> len(d, 0);
       SmallVec<i32> tie_dim;
+      SmallVec<i64> base_dir(d, 0);
       i64 total = 0;
       for (std::size_t i = 0; i < d; ++i) {
         const i32 dim = static_cast<i32>(i);
-        len[i] = torus.cyclic_dist(dim, torus.coord_of(src, dim),
-                                   torus.coord_of(dst, dim));
+        const i32 b = torus.coord_of(dst, dim);
+        len[i] = torus.cyclic_dist(dim, src_c[i], b);
         total += len[i];
-        if (torus.shortest_way(dim, torus.coord_of(src, dim),
-                               torus.coord_of(dst, dim)) == Way::Tie)
-          tie_dim.push_back(dim);
+        const Way way = torus.shortest_way(dim, src_c[i], b);
+        if (way == Way::Tie) tie_dim.push_back(dim);
+        base_dir[i] = way == Way::Neg ? -1 : +1;
       }
       // Base multinomial: number of interleavings for one direction
       // commitment (identical for every commitment since arc lengths match).
@@ -381,7 +340,7 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
       {
         i64 remaining = total;
         for (std::size_t i = 0; i < d; ++i) {
-          m_base *= static_cast<double>(binomial(remaining, len[i]));
+          m_base *= static_cast<double>(binom(remaining, len[i]));
           remaining -= len[i];
         }
       }
@@ -390,17 +349,9 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
 
       // Enumerate direction commitments for tie dims.
       for_each_subset(static_cast<int>(tie_dim.size()), [&](std::uint32_t mask) {
-        SmallVec<i32> dir(d, 0);
-        for (std::size_t i = 0; i < d; ++i) {
-          if (len[i] == 0) continue;
-          const i32 dim = static_cast<i32>(i);
-          const Way way = torus.shortest_way(dim, torus.coord_of(src, dim),
-                                             torus.coord_of(dst, dim));
-          dir[i] = (way == Way::Neg) ? -1 : +1;
-        }
+        SmallVec<i64> dir = base_dir;
         for (std::size_t t = 0; t < tie_dim.size(); ++t)
-          if (mask & (1u << t))
-            dir[static_cast<std::size_t>(tie_dim[t])] = -1;
+          if (mask & (1u << t)) dir[static_cast<std::size_t>(tie_dim[t])] = -1;
 
         // Walk the corridor: positions 0..len[i] along each dimension.
         Radices pos_radix(d, 1);
@@ -409,7 +360,6 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
         for (NdRange r(pos_radix); !r.done(); r.next()) {
           const Coord& pos = r.coord();
           // Node at this corridor position, and path counts to/from it.
-          Coord c = torus.coord(src);
           double m_to = 1.0, m_from = 1.0;
           i64 steps_to = 0, steps_from = 0;
           for (std::size_t i = 0; i < d; ++i) {
@@ -419,21 +369,21 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
           {
             i64 rem = steps_to;
             for (std::size_t i = 0; i < d; ++i) {
-              m_to *= static_cast<double>(binomial(rem, pos[i]));
+              m_to *= static_cast<double>(binom(rem, pos[i]));
               rem -= pos[i];
             }
             rem = steps_from;
             for (std::size_t i = 0; i < d; ++i) {
-              m_from *= static_cast<double>(binomial(rem, len[i] - pos[i]));
+              m_from *= static_cast<double>(binom(rem, len[i] - pos[i]));
               rem -= len[i] - pos[i];
             }
           }
+          NodeId u = 0;
           for (std::size_t i = 0; i < d; ++i) {
-            const i64 k = torus.radix(static_cast<i32>(i));
-            c[i] = static_cast<i32>(
-                mod_norm(c[i] + dir[i] * static_cast<i64>(pos[i]), k));
+            const i64 k = torus.radices()[i];
+            u += mod_norm(src_c[i] + dir[i] * pos[i], k) *
+                 torus.stride(static_cast<i32>(i));
           }
-          const NodeId u = torus.node_id(c);
           // One outgoing corridor edge per dimension with remaining steps.
           for (std::size_t i = 0; i < d; ++i) {
             if (pos[i] == len[i] || len[i] == 0) continue;
@@ -444,15 +394,15 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
                 m_from * static_cast<double>(len[i] - pos[i]) /
                 static_cast<double>(steps_from);
             const double frac = m_to * m_from_head / m_base;
-            const Dir dd = dir[i] > 0 ? Dir::Pos : Dir::Neg;
-            loads.add(torus.edge_id(u, static_cast<i32>(i), dd),
-                      commit_w * frac);
+            const auto e = static_cast<std::size_t>(
+                u * per_node + static_cast<i64>(2 * i) + (dir[i] < 0 ? 1 : 0));
+            loads[e] += commit_w * frac;
           }
         }
       });
     }
   }
-  return loads;
+  return LoadMap(torus, std::move(loads));
 }
 
 double expected_total_load(const Torus& torus, const Placement& p) {

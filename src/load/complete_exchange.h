@@ -8,9 +8,17 @@
 // paths are tested against.  The specialized functions compute identical
 // numbers without enumerating path sets:
 //
-//   odr_loads      O(|P|^2 · d · k)          canonical segment walk
-//   udr_loads      O(|P|^2 · s·2^s · k)      subset-weighted segment walk
+//   odr_loads      O(|P|^2 · d + |E|)        ring difference arrays
+//   udr_loads      O(|P|^2 · s·2^s + |E|)    ring difference arrays
 //   adaptive_loads O(|P|^2 · corridor size)  multinomial path fractions
+//
+// ODR and UDR share one kernel.  Every correction segment is an arc of one
+// 1-D ring, so it is added as O(1) updates to an i64 difference array in
+// units of 1/(2·d!) (every ODR and UDR segment weight is a whole number of
+// them), then one prefix-sum pass over all links and one division per link
+// yield the correctly rounded exact load.  `threads` partitions the sources
+// over workers with private integer arrays, so the result is bit-identical
+// for every thread count.
 //
 // udr_loads_enumerated keeps the s!-enumeration variant alive as a second
 // independent implementation for cross-checking.
@@ -28,33 +36,23 @@ namespace tp {
 LoadMap reference_loads(const Torus& torus, const Placement& p,
                         const Router& router);
 
-/// Loads under Ordered Dimensional Routing (Section 6).
+/// Loads under Ordered Dimensional Routing (Section 6), computed with
+/// `threads` workers (1 = inline on the caller).
 LoadMap odr_loads(const Torus& torus, const Placement& p,
-                  TieBreak tie = TieBreak::PositiveOnly);
+                  TieBreak tie = TieBreak::PositiveOnly, i32 threads = 1);
 
 /// Loads under ODR correcting dimensions in a custom order (a permutation
 /// of 0..d-1).  odr_loads(t, p, tie) is the identity-order special case.
 LoadMap odr_loads_ordered(const Torus& torus, const Placement& p,
                           const SmallVec<i32>& order,
-                          TieBreak tie = TieBreak::PositiveOnly);
-
-/// ODR loads via a precompiled RoutingTable (routing/table_router.h):
-/// compiles the router's next-hop tables once, then propagates each
-/// pair's unit of traffic hop by hop, splitting evenly across allowed
-/// next hops.  Produces the same loads as odr_loads — ODR's next hop at
-/// any node depends only on (node, destination), and the per-node even
-/// split reproduces the per-dimension direction weights exactly (all
-/// weights are dyadic, so the sums are exact in double) — while
-/// profiling as table.compile / table.walk instead of odr.route /
-/// odr.walk.  This is the `--router-table` path of the sweeps.
-LoadMap odr_loads_table(const Torus& torus, const Placement& p,
-                        TieBreak tie = TieBreak::PositiveOnly);
+                          TieBreak tie = TieBreak::PositiveOnly,
+                          i32 threads = 1);
 
 /// Loads under Unordered Dimensional Routing (Section 7), computed with
 /// subset weights: correcting dimension j after the subset S of the other
 /// differing dimensions happens in |S|!(s-1-|S|)!/s! of all orders.
 LoadMap udr_loads(const Torus& torus, const Placement& p,
-                  TieBreak tie = TieBreak::PositiveOnly);
+                  TieBreak tie = TieBreak::PositiveOnly, i32 threads = 1);
 
 /// Loads under UDR by explicit enumeration of all s! correction orders.
 /// Same result as udr_loads; exists as an independent cross-check.
@@ -64,20 +62,6 @@ LoadMap udr_loads_enumerated(const Torus& torus, const Placement& p,
 /// Loads under fully adaptive minimal routing: each pair spreads one unit
 /// of traffic over all its minimal paths uniformly.
 LoadMap adaptive_loads(const Torus& torus, const Placement& p);
-
-/// Multi-threaded ODR loads: partitions the source processors over
-/// `threads` workers, each accumulating into a private map, then reduces.
-/// Bit-identical to odr_loads (per-link sums commute over sources whose
-/// contributions are integers or exact halves).
-LoadMap odr_loads_parallel(const Torus& torus, const Placement& p,
-                           i32 threads,
-                           TieBreak tie = TieBreak::PositiveOnly);
-
-/// Multi-threaded UDR loads.  Matches udr_loads up to reduction-order
-/// rounding (~1 ulp: weights like 1/3 are not exactly representable).
-LoadMap udr_loads_parallel(const Torus& torus, const Placement& p,
-                           i32 threads,
-                           TieBreak tie = TieBreak::PositiveOnly);
 
 /// The value total_load() must equal for any minimal router: the sum of
 /// Lee distances over all ordered processor pairs.

@@ -1,9 +1,9 @@
 // Exact (rational) per-link loads.
 //
-// The double-based analyzers in complete_exchange.h are exact for
-// single-path routing and float-accurate for the rest; these variants
-// accumulate Definition 4 in exact rational arithmetic, making equality
-// claims (conservation, closed-form matches, oracle agreement) airtight.
+// The analyzers in complete_exchange.h return doubles (the ODR/UDR kernel
+// rounds each exact load once); these variants keep Definition 4 in exact
+// rational arithmetic, making equality claims (conservation, closed-form
+// matches, oracle agreement) airtight.
 // They are slower and only intended for validation-sized instances.
 
 #pragma once

@@ -2,9 +2,11 @@
 //
 // A LoadMap holds E(l) for every directed link l of a torus under the
 // complete-exchange scenario.  Loads are rationals with small denominators
-// (products of path-set sizes); they are accumulated in double precision,
-// which is exact for the single-path routers and accurate to ~1e-12 for the
-// multi-path ones at the sizes this library targets.
+// (products of path-set sizes).  The ODR and UDR analyzers sum them exactly
+// in integer units of 1/(2·d!) and divide once, so each of their links holds
+// the correctly rounded double of the exact rational; the adaptive analyzer
+// and reference_loads() accumulate in double, accurate to ~1e-12 at the
+// sizes this library targets.
 
 #pragma once
 
@@ -21,6 +23,9 @@ class LoadMap {
       : loads_(static_cast<std::size_t>(torus.num_directed_edges()), 0.0),
         dims_(torus.dims()),
         num_nodes_(torus.num_nodes()) {}
+
+  /// Adopts precomputed per-link loads, indexed by EdgeId.
+  LoadMap(const Torus& torus, std::vector<double> loads);
 
   void add(EdgeId e, double w) { loads_.at(static_cast<std::size_t>(e)) += w; }
   double operator[](EdgeId e) const {

@@ -454,15 +454,11 @@ void Engine::worker_loop(i32 worker) {
       const MutexLock lock(stats_mu_);
       worker_state_[slot] = "compute " + job->key.str();
     }
-    execute(job);
-    {
-      const MutexLock lock(stats_mu_);
-      worker_state_[slot] = "idle";
-    }
+    execute(job, slot);
   }
 }
 
-void Engine::execute(const std::shared_ptr<InFlight>& job) {
+void Engine::execute(const std::shared_ptr<InFlight>& job, std::size_t slot) {
   const Clock::time_point dequeued = Clock::now();
 
   // Dequeue-time deadline sweep: when every waiter has already expired
@@ -477,6 +473,10 @@ void Engine::execute(const std::shared_ptr<InFlight>& job) {
         break;
       }
     if (all_expired) {
+      {
+        const MutexLock stats_lock(stats_mu_);
+        worker_state_[slot] = "idle";
+      }
       std::vector<std::shared_ptr<Pending>> waiters = std::move(job->waiters);
       inflight_.erase(job->key);
       --inflight_jobs_;
@@ -499,8 +499,8 @@ void Engine::execute(const std::shared_ptr<InFlight>& job) {
   const Clock::time_point start = Clock::now();
   try {
     TP_PROF_PHASE("service.compute");
-    auto result = std::make_shared<const QueryResult>(compute_query(
-        job->key, config_.measure_threads, config_.use_table_router));
+    auto result = std::make_shared<const QueryResult>(
+        compute_query(job->key, config_.measure_threads));
     response.ok = true;
     response.result = std::move(result);
   } catch (const Error& e) {
@@ -515,6 +515,10 @@ void Engine::execute(const std::shared_ptr<InFlight>& job) {
   // the cache for later, well-formed retries of the same key).
   if (response.ok) cache_.put(job->key, response.result);
 
+  {
+    const MutexLock lock(stats_mu_);
+    worker_state_[slot] = "idle";
+  }
   std::vector<std::shared_ptr<Pending>> waiters;
   {
     const MutexLock lock(inflight_mu_);

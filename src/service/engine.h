@@ -81,10 +81,6 @@ struct EngineConfig {
   i64 default_deadline_ms = 0;  ///< 0 = no deadline unless the request
                                 ///< carries one
   std::size_t slow_log_capacity = 16;  ///< spans per slow/failed ring
-  bool use_table_router = false;  ///< measure ODR loads via precompiled
-                                  ///< next-hop tables (identical results,
-                                  ///< different cost profile; not part of
-                                  ///< the cache key)
 
   // Durability (src/service/snapshot.h, docs/durability.md).  A non-empty
   // snapshot_path names the PlanCache snapshot file.  snapshot_load warms
@@ -266,7 +262,11 @@ class Engine {
       TP_EXCLUDES(queue_mu_, inflight_mu_, stats_mu_);
   void worker_loop(i32 worker);
   void saver_loop();
-  void execute(const std::shared_ptr<InFlight>& job);
+  /// Runs one job on worker `slot`, which it reports idle again before the
+  /// job leaves inflight_ — so drain() never returns while a worker still
+  /// shows the job in statusz.
+  void execute(const std::shared_ptr<InFlight>& job, std::size_t slot)
+      TP_EXCLUDES(inflight_mu_, stats_mu_);
   void fulfill(const std::shared_ptr<Pending>& pending, Response response,
                bool count_completed);
   static Response timeout_response(const QueryKey& key);

@@ -67,6 +67,11 @@ i32 Torus::coord_of(NodeId n, i32 dim) const {
   return static_cast<i32>((n / strides_[i]) % radices_[i]);
 }
 
+i64 Torus::stride(i32 dim) const {
+  TP_REQUIRE(dim >= 0 && dim < dims(), "dimension out of range");
+  return strides_[static_cast<std::size_t>(dim)];
+}
+
 NodeId Torus::neighbor(NodeId n, i32 dim, Dir dir) const {
   TP_REQUIRE(valid_node(n), "node id out of range");
   TP_REQUIRE(dim >= 0 && dim < dims(), "dimension out of range");

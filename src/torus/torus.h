@@ -74,6 +74,8 @@ class Torus {
   Coord coord(NodeId n) const;
   /// Coordinate of node n in one dimension (no full decode).
   i32 coord_of(NodeId n, i32 dim) const;
+  /// Node-id step of one move along dim: the product of the later radices.
+  i64 stride(i32 dim) const;
   bool valid_node(NodeId n) const { return n >= 0 && n < num_nodes_; }
 
   // --- neighbors and links ---------------------------------------------

@@ -60,6 +60,23 @@ i64 binomial(i64 n, i64 r) {
   return result;
 }
 
+bool binomial_at_most(i64 n, i64 r, i64 cap) {
+  TP_REQUIRE(n >= 0 && r >= 0 && r <= n, "binomial requires 0 <= r <= n");
+  TP_REQUIRE(cap >= 0, "binomial cap must be non-negative");
+  if (r > n - r) r = n - r;
+  // After step i, c = C(n - r + i, i), which never decreases with i.
+  i64 c = 1;
+  for (i64 i = 1; i <= r; ++i) {
+    // c·(n-r+i) is divisible by i; cancel the common factor first so the
+    // product is the exact next value.
+    const i64 g = gcd(c, i);
+    const i64 factor = (n - r + i) / (i / g);
+    if (c / g > cap / factor) return false;
+    c = c / g * factor;
+  }
+  return c <= cap;
+}
+
 i64 cyclic_distance(i64 i, i64 j, i64 k) {
   TP_REQUIRE(k >= 1, "ring size must be >= 1");
   i64 fwd = mod_norm(j - i, k);

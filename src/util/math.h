@@ -33,6 +33,11 @@ i64 factorial(i64 n);
 /// Requires 0 <= r <= n.
 i64 binomial(i64 n, i64 r);
 
+/// True iff C(n, r) <= cap.  Saturating: stops as soon as a partial
+/// product passes cap, so it never overflows however large C(n, r) is.
+/// Requires 0 <= r <= n and cap >= 0.
+bool binomial_at_most(i64 n, i64 r, i64 cap);
+
 /// Cyclic distance between residues i and j modulo k (Definition 6):
 /// min(i-j mod k, j-i mod k).  Requires k >= 1; i, j may be any integers.
 i64 cyclic_distance(i64 i, i64 j, i64 k);

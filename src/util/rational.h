@@ -2,9 +2,9 @@
 //
 // Definition 4's loads are sums of fractions 1/|C_{p->q}| — rationals with
 // denominators dividing lcm(1!, ..., d!) (times 2^d with tie splitting).
-// The double-precision analyzers are exact for ODR and accurate to ~1e-12
-// elsewhere; Rational removes even that caveat so equality assertions in
-// tests and cross-checks are airtight.  Overflow throws (tp::Error) rather
+// The ODR/UDR analyzers round each exact load once to double and the
+// adaptive one is accurate to ~1e-12; Rational keeps the exact values, so
+// equality assertions in tests and cross-checks are airtight.  Overflow throws (tp::Error) rather
 // than wrapping.
 
 #pragma once

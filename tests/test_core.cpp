@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/planner.h"
 #include "src/core/verifier.h"
 #include "src/load/complete_exchange.h"
@@ -18,14 +20,25 @@ TEST(Planner, MakeRouterNames) {
   EXPECT_EQ(make_router(RouterKind::Adaptive)->name(), "ADAPTIVE");
 }
 
-TEST(Planner, OdrPlanPredictsInteriorFormAt3D) {
-  Torus t(3, 8);
-  const PlacementPlan plan = plan_placement(t, 1, RouterKind::Odr);
-  EXPECT_EQ(plan.placement.size(), 64);
-  EXPECT_TRUE(plan.prediction_exact);
-  EXPECT_DOUBLE_EQ(plan.predicted_emax, odr_linear_emax(8, 3));
-  EXPECT_GT(plan.lower_bound, 0.0);
-  EXPECT_FALSE(plan.summary.empty());
+TEST(Planner, OdrPlanPredictsOverallMaximumAt3D) {
+  // The exact prediction is the measured overall maximum floor(k/2)k^(d-2);
+  // the paper's Sec. 6.1 interior-link count only appears in the summary.
+  for (i32 d = 3; d <= 4; ++d) {
+    for (i32 k : {3, 4, 5, 8}) {
+      Torus t(d, k);
+      const PlacementPlan plan = plan_placement(t, 1, RouterKind::Odr);
+      EXPECT_EQ(plan.placement.size(), powi(k, d - 1));
+      EXPECT_TRUE(plan.prediction_exact);
+      EXPECT_EQ(plan.predicted_emax, odr_linear_emax_overall(k, d));
+      EXPECT_EQ(measure_emax(t, plan), plan.predicted_emax)
+          << "d=" << d << " k=" << k;
+      EXPECT_GT(plan.lower_bound, 0.0);
+      EXPECT_NE(plan.summary.find("interior-link count " +
+                                  std::to_string(odr_linear_emax(k, d))),
+                std::string::npos)
+          << plan.summary;
+    }
+  }
 }
 
 TEST(Planner, MeasuredLoadWithinPredictedBound) {

@@ -1,7 +1,7 @@
 // Tests for the in-process profiler (src/obs/phase_stack.h + profiler.h):
 // phase attribution, thread-count invariance of paths/calls (the
-// parallel_for adoption hooks and the engine pool), the table-driven ODR
-// analyzer's equivalence to the enumerating one, the SIGPROF sampler's
+// parallel_for adoption hooks and the engine pool), next-hop table
+// propagation's agreement with the ring load kernel, the SIGPROF sampler's
 // lifecycle, and the collapsed-stack / JSON output formats.
 //
 // The profiler is process-global; every test that starts it stops and
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <map>
 #include <sstream>
@@ -64,7 +65,7 @@ TEST(ProfilerDisabled, PhasesAreNoOps) {
 
 // --- phase attribution ----------------------------------------------------
 
-TEST(PhaseAttribution, OdrLoadsBreaksDownIntoRouteAndWalk) {
+TEST(PhaseAttribution, OdrLoadsBreaksDownIntoDiffAndPrefix) {
   Torus torus(3, 4);
   const Placement p = linear_placement(torus);
   obs::profiler().start(phase_only());
@@ -75,26 +76,46 @@ TEST(PhaseAttribution, OdrLoadsBreaksDownIntoRouteAndWalk) {
 
   const auto calls = calls_by_path(report);
   const std::vector<std::string> root{"load.odr"};
-  const std::vector<std::string> route{"load.odr", "odr.route"};
-  const std::vector<std::string> walk{"load.odr", "odr.walk"};
+  const std::vector<std::string> diff{"load.odr", "ring.diff"};
+  const std::vector<std::string> prefix{"load.odr", "ring.prefix"};
   ASSERT_TRUE(calls.count(root)) << "missing load.odr root phase";
-  ASSERT_TRUE(calls.count(route)) << "missing odr.route child phase";
-  ASSERT_TRUE(calls.count(walk)) << "missing odr.walk child phase";
+  ASSERT_TRUE(calls.count(diff)) << "missing ring.diff child phase";
+  ASSERT_TRUE(calls.count(prefix)) << "missing ring.prefix child phase";
   EXPECT_EQ(calls.at(root), 1);
-  // One route pass and one walk pass per source.
-  EXPECT_EQ(calls.at(route), p.size());
-  EXPECT_EQ(calls.at(walk), p.size());
+  // One difference-array pass per source, one reduce + prefix-sum pass.
+  EXPECT_EQ(calls.at(diff), p.size());
+  EXPECT_EQ(calls.at(prefix), 1);
 
   // Inclusive time of the root covers its children; self + children's
   // totals never exceed the root's total.
   i64 root_total = 0, child_total = 0;
   for (const obs::PhaseRow& row : report.rows) {
     if (row.path == root) root_total = row.total_ns;
-    if (row.path == route || row.path == walk) child_total += row.total_ns;
+    if (row.path == diff || row.path == prefix) child_total += row.total_ns;
   }
   EXPECT_GE(root_total, child_total);
   EXPECT_EQ(report.depth_overflow, 0);
   EXPECT_EQ(report.dropped_paths, 0);
+}
+
+TEST(PhaseAttribution, KernelPhasesAreThreadCountInvariant) {
+  // Past the kernel's per-worker cutover, so four workers really run.
+  Torus torus(3, 6);
+  const Placement p = full_population(torus);
+  const auto run = [&](i32 threads) {
+    obs::profiler().start(phase_only());
+    g_sink += udr_loads(torus, p, TieBreak::PositiveOnly, threads).max_load();
+    obs::profiler().stop();
+    const obs::PhaseReport report = obs::profiler().report();
+    obs::profiler().reset();
+    return calls_by_path(report);
+  };
+  const auto serial = run(1);
+  const auto pooled = run(4);
+  EXPECT_EQ(serial, pooled);
+  const std::vector<std::string> diff{"load.udr", "ring.diff"};
+  ASSERT_TRUE(pooled.count(diff));
+  EXPECT_EQ(pooled.at(diff), p.size());
 }
 
 TEST(PhaseAttribution, NestedSelfTimeExcludesChildren) {
@@ -132,12 +153,15 @@ TEST(PhaseInvariance, ParallelForWorkersAdoptCallerPath) {
     obs::profiler().start(phase_only());
     {
       TP_PROF_PHASE("outer");
-      parallel_for_blocks(64, threads, [](i32, i64 lo, i64 hi) {
+      // Workers run concurrently: count into an atomic, not g_sink.
+      std::atomic<i64> visited{0};
+      parallel_for_blocks(64, threads, [&visited](i32, i64 lo, i64 hi) {
         for (i64 i = lo; i < hi; ++i) {
           TP_PROF_PHASE("inner");
-          g_sink += static_cast<double>(i);
+          visited.fetch_add(1, std::memory_order_relaxed);
         }
       });
+      EXPECT_EQ(visited.load(), 64);
     }
     obs::profiler().stop();
     const obs::PhaseReport report = obs::profiler().report();
@@ -189,7 +213,47 @@ TEST(PhaseInvariance, EnginePoolWidthDoesNotChangeAttribution) {
   EXPECT_EQ(b.at(compute), 3);  // one per distinct key
 }
 
-// --- table-driven ODR analyzer --------------------------------------------
+// --- next-hop table propagation vs the ring kernel ------------------------
+
+/// ODR loads by propagating each pair's unit of traffic over a precompiled
+/// RoutingTable, splitting evenly across allowed next hops.  ODR's next hop
+/// depends only on (node, destination) and every weight is dyadic, so this
+/// independent construction must reproduce the kernel exactly.  Every hop
+/// is Lee-minimal, so a breadth level never revisits a node: level order is
+/// a topological order and reconvergent weights merge before expansion.
+LoadMap table_loads(const Torus& torus, const Placement& p, TieBreak tie) {
+  LoadMap loads(torus);
+  const RoutingTable table(torus, p, OdrRouter(tie));
+  std::vector<double> weight(static_cast<std::size_t>(torus.num_nodes()),
+                             0.0);
+  std::vector<NodeId> frontier, next;
+  for (NodeId src : p.nodes()) {
+    for (NodeId dst : p.nodes()) {
+      if (src == dst) continue;
+      weight[static_cast<std::size_t>(src)] = 1.0;
+      frontier.assign(1, src);
+      while (!frontier.empty()) {
+        next.clear();
+        for (const NodeId u : frontier) {
+          const double w = weight[static_cast<std::size_t>(u)];
+          weight[static_cast<std::size_t>(u)] = 0.0;
+          const std::vector<EdgeId>& hops = table.next_hops(u, dst);
+          EXPECT_FALSE(hops.empty()) << "routing table dead-ends mid-walk";
+          const double share = w / static_cast<double>(hops.size());
+          for (const EdgeId e : hops) {
+            loads.add(e, share);
+            const NodeId v = torus.link(e).head;
+            if (v == dst) continue;
+            if (weight[static_cast<std::size_t>(v)] == 0.0) next.push_back(v);
+            weight[static_cast<std::size_t>(v)] += share;
+          }
+        }
+        frontier.swap(next);
+      }
+    }
+  }
+  return loads;
+}
 
 TEST(TableAnalyzer, MatchesEnumeratingAnalyzerExactly) {
   for (const Radices& radices :
@@ -199,9 +263,9 @@ TEST(TableAnalyzer, MatchesEnumeratingAnalyzerExactly) {
                             ? multiple_linear_placement(torus, 2)
                             : full_population(torus);
     const LoadMap a = odr_loads(torus, p);
-    const LoadMap b = odr_loads_table(torus, p);
+    const LoadMap b = table_loads(torus, p, TieBreak::PositiveOnly);
     EXPECT_EQ(a.max_abs_diff(b), 0.0)
-        << "table analyzer diverged on the " << torus.num_nodes()
+        << "table propagation diverged on the " << torus.num_nodes()
         << "-node torus";
     EXPECT_EQ(a.max_load(), b.max_load());
   }
@@ -211,25 +275,8 @@ TEST(TableAnalyzer, MatchesUnderBothDirectionsTieBreak) {
   Torus torus(2, 4);  // even radix: antipodal ties exist
   const Placement p = full_population(torus);
   const LoadMap a = odr_loads(torus, p, TieBreak::BothDirections);
-  const LoadMap b = odr_loads_table(torus, p, TieBreak::BothDirections);
+  const LoadMap b = table_loads(torus, p, TieBreak::BothDirections);
   EXPECT_EQ(a.max_abs_diff(b), 0.0);
-}
-
-TEST(TableAnalyzer, MeasureLoadsRoutesThroughTable) {
-  Torus torus(3, 6);
-  const Placement p = linear_placement(torus);
-  const LoadMap a = measure_loads(torus, p, RouterKind::Odr, 1, false);
-  const LoadMap b = measure_loads(torus, p, RouterKind::Odr, 1, true);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0);
-}
-
-TEST(TableAnalyzer, EngineConfigFlagYieldsIdenticalResults) {
-  const service::QueryKey key = service::make_query_key(
-      Radices{6, 6, 6}, 1, RouterKind::Odr, service::QueryOp::Load);
-  const service::QueryResult plain = service::compute_query(key, 1, false);
-  const service::QueryResult table = service::compute_query(key, 1, true);
-  EXPECT_EQ(plain.measured_emax, table.measured_emax);
-  EXPECT_EQ(plain.loads->max_abs_diff(*table.loads), 0.0);
 }
 
 // --- sampler ---------------------------------------------------------------
@@ -324,7 +371,7 @@ TEST(Output, PhaseTableAndJsonCarryTheBreakdown) {
 
   const std::string table = obs::format_phase_table(report);
   EXPECT_NE(table.find("load.odr"), std::string::npos);
-  EXPECT_NE(table.find("odr.route"), std::string::npos);
+  EXPECT_NE(table.find("ring.diff"), std::string::npos);
   EXPECT_NE(table.find("coverage"), std::string::npos);
 
   const obs::JsonValue json = obs::phase_report_json(report);

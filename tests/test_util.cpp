@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <string_view>
@@ -81,6 +82,24 @@ TEST(Math, BinomialPascalIdentity) {
     for (i64 r = 1; r < n; ++r)
       EXPECT_EQ(binomial(n, r), binomial(n - 1, r - 1) + binomial(n - 1, r))
           << "n=" << n << " r=" << r;
+}
+
+TEST(Math, BinomialAtMostAgreesAndSaturates) {
+  for (i64 n = 0; n <= 40; ++n)
+    for (i64 r = 0; r <= n; ++r) {
+      const i64 c = binomial(n, r);
+      EXPECT_TRUE(binomial_at_most(n, r, c)) << n << " " << r;
+      EXPECT_FALSE(binomial_at_most(n, r, c - 1)) << n << " " << r;
+    }
+  // Far past i64: the answer is still a clean false, never an overflow.
+  EXPECT_THROW(binomial(216, 36), Error);
+  EXPECT_FALSE(binomial_at_most(216, 36, 200000));
+  EXPECT_FALSE(binomial_at_most(256, 16, std::numeric_limits<i64>::max()));
+  // C(64, 32) = 1832624140942590534 fits; the bound is exact at the edge.
+  EXPECT_TRUE(binomial_at_most(64, 32, 1832624140942590534));
+  EXPECT_FALSE(binomial_at_most(64, 32, 1832624140942590533));
+  EXPECT_THROW(binomial_at_most(3, 4, 10), Error);
+  EXPECT_THROW(binomial_at_most(3, 1, -1), Error);
 }
 
 TEST(Math, CyclicDistanceDefinition6) {

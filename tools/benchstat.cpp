@@ -27,11 +27,11 @@
 // with --check the process then exits 2, so CI can gate on it.
 //
 // Besides the baseline diff, one intra-run invariant is asserted: the
-// threaded analyzer must not lose to the serial one on a small torus
-// (odr_loads_parallel4/T8^3 <= 1.05 x odr_loads/T8^3) — the work-size
-// cutover in odr_loads_parallel (src/load/complete_exchange.cpp) exists
-// precisely to keep small tori on the serial path, and this check keeps
-// it honest without needing a baseline file.
+// load kernel asked for four threads must not lose to one thread on a
+// small torus (odr_loads_threads4/T8^3 <= 1.05 x odr_loads/T8^3) — the
+// work-size cutover in the ring kernel (src/load/complete_exchange.cpp)
+// exists precisely to keep small tori on the serial path, and this check
+// keeps it honest without needing a baseline file.
 //
 // google-benchmark (bench/) remains the precision tool; benchstat trades
 // precision for a committed, diffable baseline file.
@@ -135,19 +135,23 @@ std::vector<BenchResult> run_benchmarks(int reps) {
     results.push_back(time_fn("odr_loads/T8^3", reps, [&] {
       g_sink += odr_loads(torus, p).max_load();
     }));
-    results.push_back(time_fn("odr_loads_parallel4/T8^3", reps, [&] {
-      g_sink += odr_loads_parallel(torus, p, 4).max_load();
-    }));
-    results.push_back(time_fn("odr_loads_table/T8^3", reps, [&] {
-      g_sink += odr_loads_table(torus, p).max_load();
+    results.push_back(time_fn("odr_loads_threads4/T8^3", reps, [&] {
+      g_sink += odr_loads(torus, p, TieBreak::PositiveOnly, 4).max_load();
     }));
   }
   {
-    Torus torus(3, 6);
+    Torus torus(3, 16);
     const Placement p = linear_placement(torus);
-    results.push_back(time_fn("udr_loads/T6^3", reps, [&] {
-      g_sink += udr_loads(torus, p).max_load();
+    results.push_back(time_fn("odr_loads/T16^3", reps, [&] {
+      g_sink += odr_loads(torus, p).max_load();
     }));
+  }
+  for (const i32 k : {6, 8}) {
+    Torus torus(3, k);
+    const Placement p = linear_placement(torus);
+    results.push_back(
+        time_fn("udr_loads/T" + std::to_string(k) + "^3", reps,
+                [&] { g_sink += udr_loads(torus, p).max_load(); }));
   }
   {
     Torus torus(2, 8);
@@ -461,15 +465,15 @@ int diff_against(const std::string& baseline_path,
   return regressions;
 }
 
-/// Intra-run invariant: the threaded load analyzer must stay within 5%
-/// of the serial one on T8^3 (the work-size cutover should route such
-/// small tori to the serial path outright).  Returns 0 or 1 regressions.
+/// Intra-run invariant: the load kernel asked for four threads must stay
+/// within 5% of one thread on T8^3 (the work-size cutover should keep such
+/// small tori on the serial path outright).  Returns 0 or 1 regressions.
 int check_parallel_cutover(const std::vector<BenchResult>& results) {
   const BenchResult* serial = nullptr;
   const BenchResult* parallel = nullptr;
   for (const BenchResult& r : results) {
     if (r.name == "odr_loads/T8^3") serial = &r;
-    if (r.name == "odr_loads_parallel4/T8^3") parallel = &r;
+    if (r.name == "odr_loads_threads4/T8^3") parallel = &r;
   }
   if (serial == nullptr || parallel == nullptr || serial->min_ns <= 0)
     return 0;
@@ -479,11 +483,11 @@ int check_parallel_cutover(const std::vector<BenchResult>& results) {
   const double ratio = static_cast<double>(parallel->min_ns) /
                        static_cast<double>(serial->min_ns);
   if (ratio <= 1.05) {
-    std::cout << "parallel cutover ok: odr_loads_parallel4/T8^3 = "
+    std::cout << "parallel cutover ok: odr_loads_threads4/T8^3 = "
               << fmt(ratio, 3) << "x odr_loads/T8^3 (limit 1.05x)\n";
     return 0;
   }
-  std::cout << "REGRESSED: odr_loads_parallel4/T8^3 is " << fmt(ratio, 3)
+  std::cout << "REGRESSED: odr_loads_threads4/T8^3 is " << fmt(ratio, 3)
             << "x odr_loads/T8^3 (limit 1.05x) — the work-size cutover "
                "should keep T8^3 on the serial path\n";
   return 1;

@@ -105,7 +105,6 @@ service::EngineConfig engine_config(const Args& args) {
   config.default_deadline_ms = args.get_int("deadline-ms", 0);
   config.slow_log_capacity =
       static_cast<std::size_t>(args.get_int("slow-log", 16));
-  config.use_table_router = args.has("router-table");
   // Durability (docs/durability.md): --cache-file names the snapshot,
   // --cache-load warms the boot, --cache-save[=ms] arms the shutdown save
   // (and, with a value, periodic background saves during serve).
@@ -229,7 +228,7 @@ int cmd_analyze(const Args& args) {
             << "\n\n";
 
   const LoadMap loads =
-      measure_loads(torus, placement, kind, 1, args.has("router-table"));
+      measure_loads(torus, placement, kind);
   Table table({"quantity", "value"});
   table.add_row({"measured E_max", fmt(loads.max_load())});
   table.add_row({"E_max / |P|", fmt(loads.max_load() /
@@ -319,7 +318,7 @@ int cmd_optimize(const Args& args) {
           : -1.0;
 
   SearchResult result =
-      binomial(torus.num_nodes(), size) <= 200000
+      binomial_at_most(torus.num_nodes(), size, 200000)
           ? exhaustive_best_placement(torus, size, kind)
           : anneal_placement(torus, size, kind, iters,
                              static_cast<u64>(args.get_int("seed", 17)));
@@ -1089,8 +1088,6 @@ int usage() {
       "                       stderr, optional collapsed-stack (flamegraph)\n"
       "                       file; `torusplace profile <command> ...` is\n"
       "                       shorthand for the same\n"
-      "  --router-table       measure ODR loads via precompiled next-hop\n"
-      "                       tables (identical results, different cost)\n"
       "\n"
       "link telemetry (simulate):\n"
       "  --link-stats[=N]     per-link probes: top-N hotspot table (default\n"
@@ -1175,7 +1172,7 @@ int run(int argc, char** argv) {
       "mode", "clients", "rate", "duration-ms", "warmup-ms", "skew",
       "zipf-s", "universe"};
   const std::set<std::string> flags{"link-stats", "measured", "criticality",
-                                    "stdio", "profile", "router-table",
+                                    "stdio", "profile",
                                     "cache-load", "cache-save"};
   const Args args(argc, argv, first, known, flags);
 
