@@ -15,13 +15,14 @@ namespace tp {
 
 namespace {
 
-/// Minimum source-destination pairs per worker before the ring kernel fans
-/// out.  An ODR pair costs ~20 ns (a few branch-free difference-array
-/// updates per dimension), a UDR pair a few times that; spawning and
-/// joining a worker and reducing its private array costs tens of µs.
-/// 16384 pairs give each worker ~10x its own overhead: the T8^3 linear
-/// placement (64·63 = 4032 pairs) stays serial, T16^3 (256·255) takes
-/// three workers.
+/// Minimum evaluated source-destination pairs per worker before the ring
+/// kernel fans out.  An ODR pair costs ~20 ns (a few branch-free
+/// difference-array updates per dimension), a UDR pair a few times that;
+/// spawning and joining a worker and reducing its private array costs tens
+/// of µs.  16384 pairs give each worker ~10x its own overhead: 64 random
+/// processors on T8^3 (64·63 = 4032 pairs) stay serial, 256 (256·255) take
+/// three workers.  A linear placement evaluates a single source and never
+/// fans out.
 constexpr i64 kMinPairsPerWorker = 16384;
 
 /// Every integer of magnitude below 2^53 converts to double exactly.
@@ -110,13 +111,82 @@ struct Correction {
   bool split = false;
 };
 
+/// Node coordinates, decoded once: d entries per node, in `nodes` order.
+std::vector<i64> decode(const Torus& torus, const std::vector<NodeId>& nodes) {
+  std::vector<i64> coords;
+  coords.reserve(nodes.size() * static_cast<std::size_t>(torus.dims()));
+  for (const NodeId node : nodes)
+    for (const i32 x : torus.coord(node)) coords.push_back(x);
+  return coords;
+}
+
+/// Completes a link array computed from the coset representatives' sources
+/// only and converts it to loads.  With P + H = P every router here
+/// commutes with translation, so a source r + h loads link l + h exactly as
+/// r loads l, and the full load is E(l) = sum over h in H of F(l + h), F
+/// being the representatives' part.  Every H-coset of nodes is labelled,
+/// the link array is summed per coset and link slot in increasing node
+/// order (a fixed order for a double array), `finish` turns each sum into
+/// a load once, and the load is written to every member.  With H = {0}
+/// this is `finish` applied to every link.
+template <typename T, typename Finish>
+std::vector<double> fold_cosets(const Torus& torus,
+                                const std::vector<NodeId>& group,
+                                const std::vector<T>& links, Finish&& finish) {
+  std::vector<double> loads(links.size());
+  if (group.size() == 1) {
+    for (std::size_t e = 0; e < links.size(); ++e) loads[e] = finish(links[e]);
+    return loads;
+  }
+  TP_PROF_PHASE("ring.fold");
+  const auto d = static_cast<std::size_t>(torus.dims());
+  const auto per_node = 2 * d;
+  const auto num_nodes = static_cast<std::size_t>(torus.num_nodes());
+  SmallVec<i64> radix, stride;
+  for (i32 dim = 0; dim < torus.dims(); ++dim) {
+    radix.push_back(torus.radix(dim));
+    stride.push_back(torus.stride(dim));
+  }
+  const std::vector<i64> hc = decode(torus, group);
+  // slot0[u]: where node u's coset keeps its per-slot sums.
+  constexpr std::size_t kUnset = ~std::size_t{0};
+  std::vector<std::size_t> slot0(num_nodes, kUnset);
+  std::size_t cosets = 0;
+  for (std::size_t u = 0; u < num_nodes; ++u) {
+    if (slot0[u] != kUnset) continue;
+    const Coord uc = torus.coord(static_cast<NodeId>(u));
+    for (std::size_t g = 0; g < group.size(); ++g) {
+      i64 node = 0;
+      for (std::size_t i = 0; i < d; ++i) {
+        const i64 x = uc[i] + hc[g * d + i];
+        node += (x >= radix[i] ? x - radix[i] : x) * stride[i];
+      }
+      slot0[static_cast<std::size_t>(node)] = cosets * per_node;
+    }
+    ++cosets;
+  }
+  std::vector<T> sum(cosets * per_node, T{0});
+  for (std::size_t u = 0; u < num_nodes; ++u)
+    for (std::size_t slot = 0; slot < per_node; ++slot)
+      sum[slot0[u] + slot] += links[u * per_node + slot];
+  std::vector<double> coset_loads(sum.size());
+  for (std::size_t c = 0; c < sum.size(); ++c) coset_loads[c] = finish(sum[c]);
+  for (std::size_t u = 0; u < num_nodes; ++u)
+    for (std::size_t slot = 0; slot < per_node; ++slot)
+      loads[u * per_node + slot] = coset_loads[slot0[u] + slot];
+  return loads;
+}
+
 /// The one ODR/UDR load kernel.  `per_pair(diff, src, dst, src_node, ties)`
 /// adds one ordered pair's correction segments (src/dst: coordinate
-/// arrays) to a difference array.  The sources are partitioned over up to
-/// `threads` workers, each with a private i64 array; the arrays are summed
-/// as integers, prefix-summed once along every ring and divided once per
-/// link, so the result is the correctly rounded exact load and
-/// bit-identical for every thread count.
+/// arrays) to a difference array.  Only one source per coset of the
+/// placement's translation stabilizer H is evaluated, against every
+/// destination; the sources are partitioned over up to `threads` workers,
+/// each with a private i64 array.  The arrays are summed as integers,
+/// prefix-summed once along every ring, folded over H (fold_cosets) and
+/// divided once per link value, so the result is the correctly rounded
+/// exact load and bit-identical for every thread count.  When H = {0}
+/// every node of P is a representative and the fold only divides.
 template <typename PerPair>
 LoadMap ring_loads(const Torus& torus, const Rings& g, const Placement& p,
                    i32 threads, PerPair&& per_pair) {
@@ -128,60 +198,66 @@ LoadMap ring_loads(const Torus& torus, const Rings& g, const Placement& p,
   // conversion is exact and the one division correctly rounded.
   TP_REQUIRE(n < (i64{1} << 26) && n * (n - 1) < kExactInDouble / g.unit,
              "placement too large for exact fixed-point loads");
-  const i64 pairs = n * (n - 1);
-  TP_OBS_COUNT("load.pairs_evaluated", pairs);
+  TP_OBS_COUNT("load.pairs_evaluated", n * (n - 1));
 
   const auto d = static_cast<std::size_t>(torus.dims());
-  std::vector<i64> coords;
-  coords.reserve(static_cast<std::size_t>(n) * d);
-  for (const NodeId node : p.nodes())
-    for (i32 dim = 0; dim < torus.dims(); ++dim)
-      coords.push_back(torus.coord_of(node, dim));
+  const std::vector<i64> coords = decode(torus, p.nodes());
+  const Stabilizer st = stabilizer(torus, p, coords);
 
   const auto num_edges = static_cast<std::size_t>(torus.num_directed_edges());
-  const i32 workers = effective_workers(pairs, threads, kMinPairsPerWorker);
-  std::vector<std::vector<i64>> diff(static_cast<std::size_t>(workers),
-                                     std::vector<i64>(num_edges, 0));
+  const auto reps = static_cast<i64>(st.reps.size());
+  const i32 workers =
+      effective_workers(reps * (n - 1), threads, kMinPairsPerWorker);
+  std::vector<std::vector<i64>> diff;
+  for (i32 w = 0; w < workers; ++w) diff.emplace_back(num_edges, 0);
   // Registry counters are not atomic (obs/registry.h): workers tally ties
   // into their own slot and the total is recorded once after the join.
   std::vector<i64> ties(static_cast<std::size_t>(workers), 0);
-  parallel_for_blocks(n, workers, [&](i32 worker, i64 lo, i64 hi) {
+  parallel_for_blocks(reps, workers, [&](i32 worker, i64 lo, i64 hi) {
     const auto w = static_cast<std::size_t>(worker);
-    for (auto si = static_cast<std::size_t>(lo);
-         si < static_cast<std::size_t>(hi); ++si) {
+    for (auto ri = static_cast<std::size_t>(lo);
+         ri < static_cast<std::size_t>(hi); ++ri) {
       TP_PROF_PHASE("ring.diff");
+      const auto si = static_cast<std::size_t>(
+          std::lower_bound(p.nodes().begin(), p.nodes().end(), st.reps[ri]) -
+          p.nodes().begin());
       for (std::size_t di = 0; di < p.nodes().size(); ++di)
         if (di != si)
           per_pair(diff[w].data(), &coords[si * d], &coords[di * d],
                    p.nodes()[si], ties[w]);
     }
   });
+  // A pair's ties depend only on its coordinate differences, so every
+  // source of a coset ties as often as its representative.
   i64 total_ties = 0;
   for (const i64 t : ties) total_ties += t;
+  total_ties *= static_cast<i64>(st.group.size());
   if (total_ties > 0) TP_OBS_COUNT("router.tie_breaks", total_ties);
 
-  TP_PROF_PHASE("ring.prefix");
   std::vector<i64>& acc = diff[0];
-  for (std::size_t w = 1; w < diff.size(); ++w)
-    for (std::size_t e = 0; e < num_edges; ++e) acc[e] += diff[w][e];
-  for (std::size_t dim = 0; dim < d; ++dim) {
-    const i64 k = g.radix[dim];
-    const i64 stride = g.stride[dim];
-    const auto es = static_cast<std::size_t>(g.edge_stride[dim]);
-    for (i64 hi = 0; hi < torus.num_nodes(); hi += stride * k) {
-      for (i64 lo = 0; lo < stride; ++lo) {
-        auto e = static_cast<std::size_t>((hi + lo) * g.per_node) + 2 * dim;
-        for (i64 x = 1; x < k; ++x, e += es) {
-          acc[e + es] += acc[e];
-          acc[e + es + 1] += acc[e + 1];
+  {
+    TP_PROF_PHASE("ring.prefix");
+    for (std::size_t w = 1; w < diff.size(); ++w)
+      for (std::size_t e = 0; e < num_edges; ++e) acc[e] += diff[w][e];
+    for (std::size_t dim = 0; dim < d; ++dim) {
+      const i64 k = g.radix[dim];
+      const i64 stride = g.stride[dim];
+      const auto es = static_cast<std::size_t>(g.edge_stride[dim]);
+      for (i64 hi = 0; hi < torus.num_nodes(); hi += stride * k) {
+        for (i64 lo = 0; lo < stride; ++lo) {
+          auto e = static_cast<std::size_t>((hi + lo) * g.per_node) + 2 * dim;
+          for (i64 x = 1; x < k; ++x, e += es) {
+            acc[e + es] += acc[e];
+            acc[e + es + 1] += acc[e + 1];
+          }
         }
       }
     }
   }
-  std::vector<double> loads(num_edges);
-  for (std::size_t e = 0; e < num_edges; ++e)
-    loads[e] = static_cast<double>(acc[e]) / static_cast<double>(g.unit);
-  return LoadMap(torus, std::move(loads));
+  const auto unit = static_cast<double>(g.unit);
+  return LoadMap(torus, fold_cosets(torus, st.group, acc, [unit](i64 v) {
+                   return static_cast<double>(v) / unit;
+                 }));
 }
 
 }  // namespace
@@ -291,10 +367,16 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
   const std::size_t d = static_cast<std::size_t>(torus.dims());
   const i64 per_node = 2 * torus.dims();
 
+  // Sources are one node per coset of the translation stabilizer; the
+  // rest of each coset is added by fold_cosets (see ring_loads).
+  const Stabilizer st = stabilizer(torus, p);
+
   // C(n, r) by Pascal's rule up to the largest Lee distance among the
-  // pairs: exact i64 values, -1 past i64, which fails only when looked up.
+  // pairs (translation keeps Lee distance, so the representatives' rows
+  // reach it): exact i64 values, -1 past i64, which fails only when looked
+  // up.
   i64 max_lee = 0;
-  for (NodeId src : p.nodes())
+  for (NodeId src : st.reps)
     for (NodeId dst : p.nodes())
       max_lee = std::max(max_lee, torus.lee_distance(src, dst));
   std::vector<std::vector<i64>> pascal;
@@ -316,7 +398,7 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
 
   std::vector<double> loads(
       static_cast<std::size_t>(torus.num_directed_edges()), 0.0);
-  for (NodeId src : p.nodes()) {
+  for (NodeId src : st.reps) {
     const Coord src_c = torus.coord(src);
     for (NodeId dst : p.nodes()) {
       if (src == dst) continue;
@@ -402,7 +484,8 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
       });
     }
   }
-  return LoadMap(torus, std::move(loads));
+  const auto same = [](double v) { return v; };
+  return LoadMap(torus, fold_cosets(torus, st.group, loads, same));
 }
 
 double expected_total_load(const Torus& torus, const Placement& p) {

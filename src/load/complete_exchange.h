@@ -8,17 +8,26 @@
 // paths are tested against.  The specialized functions compute identical
 // numbers without enumerating path sets:
 //
-//   odr_loads      O(|P|^2 · d + |E|)        ring difference arrays
-//   udr_loads      O(|P|^2 · s·2^s + |E|)    ring difference arrays
-//   adaptive_loads O(|P|^2 · corridor size)  multinomial path fractions
+//   odr_loads      O((|P|/|H|)·|P| · d + |E|)         ring difference arrays
+//   udr_loads      O((|P|/|H|)·|P| · s·2^s + |E|)     ring difference arrays
+//   adaptive_loads O((|P|/|H|)·|P| · corridor + |E|)  multinomial path
+//                                                     fractions
+//
+// H is the placement's translation stabilizer {h : P + h = P} (see
+// stabilizer() in placement.h).  All three routers commute with
+// translation, so the load is H-periodic: each function evaluates one
+// source per H-coset of P against every destination, then sums the link
+// array over each H-coset of nodes and writes the sum back to every member.
+// A linear placement (|H| = k^(d-1)) evaluates |P|/|H| = 1 source, a random
+// one (|H| = 1) all of P, through the same code.
 //
 // ODR and UDR share one kernel.  Every correction segment is an arc of one
 // 1-D ring, so it is added as O(1) updates to an i64 difference array in
 // units of 1/(2·d!) (every ODR and UDR segment weight is a whole number of
-// them), then one prefix-sum pass over all links and one division per link
-// yield the correctly rounded exact load.  `threads` partitions the sources
-// over workers with private integer arrays, so the result is bit-identical
-// for every thread count.
+// them), then one prefix-sum pass over all links, the integer fold over H
+// and one division per link yield the correctly rounded exact load.
+// `threads` partitions the sources over workers with private integer
+// arrays, so the result is bit-identical for every thread count.
 //
 // udr_loads_enumerated keeps the s!-enumeration variant alive as a second
 // independent implementation for cross-checking.
@@ -60,7 +69,10 @@ LoadMap udr_loads_enumerated(const Torus& torus, const Placement& p,
                              TieBreak tie = TieBreak::PositiveOnly);
 
 /// Loads under fully adaptive minimal routing: each pair spreads one unit
-/// of traffic over all its minimal paths uniformly.
+/// of traffic over all its minimal paths uniformly.  Summed in doubles, in
+/// a fixed order: with a trivial stabilizer source by source, otherwise
+/// representatives first and then coset by coset, which may differ from the
+/// source-by-source sum in the last bits.
 LoadMap adaptive_loads(const Torus& torus, const Placement& p);
 
 /// The value total_load() must equal for any minimal router: the sum of

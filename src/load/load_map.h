@@ -6,7 +6,11 @@
 // in integer units of 1/(2·d!) and divide once, so each of their links holds
 // the correctly rounded double of the exact rational; the adaptive analyzer
 // and reference_loads() accumulate in double, accurate to ~1e-12 at the
-// sizes this library targets.
+// sizes this library targets.  The adaptive analyzer evaluates one source
+// per coset of the placement's translation stabilizer and folds the rest in
+// (complete_exchange.h), so on a symmetric placement its doubles are summed
+// in another order than reference_loads() and agree to ~1e-13 relative,
+// not bit for bit.
 
 #pragma once
 

@@ -32,6 +32,94 @@ void Placement::check_torus(const Torus& torus) const {
              "placement was generated for a different torus");
 }
 
+Stabilizer stabilizer(const Torus& torus, const Placement& p) {
+  std::vector<i64> coords;
+  coords.reserve(p.nodes().size() * static_cast<std::size_t>(torus.dims()));
+  for (const NodeId node : p.nodes())
+    for (const i32 x : torus.coord(node)) coords.push_back(x);
+  return stabilizer(torus, p, coords);
+}
+
+Stabilizer stabilizer(const Torus& torus, const Placement& p,
+                      const std::vector<i64>& pc) {
+  p.check_torus(torus);
+  const auto d = static_cast<std::size_t>(torus.dims());
+  TP_REQUIRE(pc.size() == p.nodes().size() * d,
+             "need d coordinates per processor");
+  SmallVec<i64> radix, stride;
+  for (i32 dim = 0; dim < torus.dims(); ++dim) {
+    radix.push_back(torus.radix(dim));
+    stride.push_back(torus.stride(dim));
+  }
+  // Coordinates of H, flat with d entries per element (pc holds P's).
+  std::vector<i64> hc(d, 0);
+  // a + b in dimension i, for coordinates a, b < radix[i].
+  const auto add = [&](i64 a, i64 b, std::size_t i) {
+    return a + b >= radix[i] ? a + b - radix[i] : a + b;
+  };
+  // The node a + b reaches, for coordinate arrays a and b.
+  const auto sum_node = [&](const i64* a, const i64* b) {
+    NodeId node = 0;
+    for (std::size_t i = 0; i < d; ++i) node += add(a[i], b[i], i) * stride[i];
+    return node;
+  };
+
+  Stabilizer s;
+  s.group.push_back(0);
+  std::vector<bool> in_group(static_cast<std::size_t>(torus.num_nodes()),
+                             false);
+  in_group[0] = true;
+  const std::size_t n = p.nodes().size();
+  for (std::size_t qi = 1; qi < n; ++qi) {
+    SmallVec<i64> h(d, 0);
+    NodeId h_node = 0;
+    for (std::size_t i = 0; i < d; ++i) {
+      h[i] = pc[qi * d + i] - pc[i];
+      if (h[i] < 0) h[i] += radix[i];
+      h_node += h[i] * stride[i];
+    }
+    if (in_group[static_cast<std::size_t>(h_node)]) continue;
+    // p0 + h = q is in P by construction, so the scan starts at p1.
+    bool fixes = true;
+    for (std::size_t pi = 1; pi < n && fixes; ++pi)
+      fixes = p.contains(sum_node(&pc[pi * d], h.begin()));
+    if (!fixes) continue;
+    // H + <h> is the union of the cosets H + j·h up to the first j·h in H.
+    const std::size_t old_size = s.group.size();
+    SmallVec<i64> step = h;
+    for (NodeId step_node = h_node;
+         !in_group[static_cast<std::size_t>(step_node)];) {
+      for (std::size_t g = 0; g < old_size; ++g) {
+        s.group.push_back(sum_node(&hc[g * d], step.begin()));
+        in_group[static_cast<std::size_t>(s.group.back())] = true;
+        for (std::size_t i = 0; i < d; ++i)
+          hc.push_back(add(hc[g * d + i], step[i], i));
+      }
+      step_node = 0;
+      for (std::size_t i = 0; i < d; ++i) {
+        step[i] = add(step[i], h[i], i);
+        step_node += step[i] * stride[i];
+      }
+    }
+  }
+
+  if (s.group.size() == 1) {
+    s.reps = p.nodes();
+    return s;
+  }
+  // Walking P in increasing id order, the first unseen node of a coset is
+  // its lowest.
+  std::vector<bool> seen(static_cast<std::size_t>(torus.num_nodes()), false);
+  for (std::size_t pi = 0; pi < n; ++pi) {
+    if (seen[static_cast<std::size_t>(p.nodes()[pi])]) continue;
+    s.reps.push_back(p.nodes()[pi]);
+    for (std::size_t g = 0; g < s.group.size(); ++g)
+      seen[static_cast<std::size_t>(sum_node(&pc[pi * d], &hc[g * d]))] =
+          true;
+  }
+  return s;
+}
+
 Placement linear_placement(const Torus& torus, const SmallVec<i32>& coeffs,
                            i32 c) {
   TP_REQUIRE(torus.is_uniform_radix(),

@@ -47,6 +47,33 @@ class Placement {
   i64 torus_nodes_ = 0;
 };
 
+// --- translation symmetry -------------------------------------------------
+
+/// The translation stabilizer H = {h : P + h = P} of a placement (addition
+/// coordinate-wise modulo each radix) and the cosets of H that make up P.
+/// Linear and multiple-linear placements are unions of cosets of
+/// {x : sum x == 0 mod k}; random and clustered placements almost always
+/// have H = {0}.
+struct Stabilizer {
+  /// The elements of H, each named by the node it moves node 0 to; node 0
+  /// (the identity) comes first.
+  std::vector<NodeId> group;
+  /// One node per H-coset of P, the lowest id of its coset, increasing.
+  std::vector<NodeId> reps;
+};
+
+/// Computes H and the coset representatives of `p`.  Only the differences
+/// q - p0 for q in P can lie in H; each one not already in H is tested with
+/// an early-exit P + h ⊆ P scan and, when it passes, H is closed under it.
+/// About O(|P|·d) for a trivial H, O(|gens|·|P|·d) for a linear placement.
+/// An empty placement gets H = {0} and no representatives.
+Stabilizer stabilizer(const Torus& torus, const Placement& p);
+
+/// The same, from the coordinates of P the caller has already decoded: d
+/// entries per node, in p.nodes() order.
+Stabilizer stabilizer(const Torus& torus, const Placement& p,
+                      const std::vector<i64>& coords);
+
 // --- generators -----------------------------------------------------------
 
 /// Linear placement (Definition 10): nodes whose coordinates satisfy

@@ -78,9 +78,9 @@ void parallel_for_blocks(i64 count, i32 threads, Fn&& fn) {
 /// for `count` work items when each worker should own at least
 /// `min_per_worker` of them.  Below the threshold the answer is 1 —
 /// thread spawn/join (~tens of µs) plus the per-worker buffer reduction
-/// costs more than it saves, which is exactly the odr_loads_parallel4
-/// regression BENCH_4 flagged on T8^3 (4032 pairs across 4 workers).
-/// Callers take the serial path when this returns 1.
+/// costs more than it saves: BENCH_4 flagged a four-worker load kernel
+/// losing to one worker on 4032 source-destination pairs.  Callers take
+/// the serial path when this returns 1.
 inline i32 effective_workers(i64 count, i32 threads, i64 min_per_worker) {
   TP_REQUIRE(threads >= 1, "need at least one thread");
   TP_REQUIRE(min_per_worker >= 1, "need a positive work cutover");

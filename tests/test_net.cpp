@@ -367,8 +367,11 @@ TEST(TcpServer, GracefulDrainAnswersEverythingAccepted) {
              ",\"op\":\"plan\",\"d\":2,\"k\":" + std::to_string(4 + 2 * i) +
              "}\n";
   client.send(burst);
-  // Make sure the server has read all 8 before the drain starts.
-  wait_for([&server] { return server.stats().requests == 8; });
+  // Make sure all 8 are accepted before the drain starts.  The server
+  // counts a request when it reads the line, before its drain check, so
+  // wait for the engine's submit count: a request read just before
+  // request_drain() could still be rejected as "server draining".
+  wait_for([&engine] { return engine.stats().requests == 8; });
 
   server.request_drain();
   server.wait_until_drained();

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <vector>
 
 #include "src/load/complete_exchange.h"
 #include "src/obs/registry.h"
@@ -73,11 +74,15 @@ TEST(ParallelLoads, OdrBitIdenticalWithTieSplitting) {
 TEST(ParallelLoads, UdrMatchesSerialToReductionPrecision) {
   // The kernel reduces per-worker integer arrays, so the reduction is exact
   // and UDR weights like 1/3 leave no per-width rounding: bit-identical.
-  // T6^3 full population is past the per-worker cutover, so the workers
-  // really fan out.
+  // T7^3 minus node 0 has no translation symmetry, so all 342 nodes are
+  // sources and the 342·341 pairs are past the per-worker cutover: the
+  // workers really fan out.
   for (i32 threads : {2, 5}) {
-    Torus t(3, 6);
-    const Placement p = full_population(t);
+    Torus t(3, 7);
+    std::vector<NodeId> nodes = t.all_nodes();
+    nodes.erase(nodes.begin());
+    const Placement p(t, nodes, "full-minus-0");
+    ASSERT_EQ(stabilizer(t, p).group.size(), 1u);
     const LoadMap serial = udr_loads(t, p);
     const LoadMap parallel = udr_loads(t, p, TieBreak::PositiveOnly, threads);
     EXPECT_EQ(serial.max_abs_diff(parallel), 0.0) << "threads=" << threads;

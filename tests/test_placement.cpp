@@ -1,10 +1,15 @@
 // Tests for placements (Definitions 2, 10; Section 5): sizes, membership,
-// uniformity, and the equivalences the paper states.
+// uniformity, the equivalences the paper states, and the translation
+// stabilizer the load kernels fold over.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "src/placement/modular.h"
 #include "src/placement/placement.h"
 #include "src/placement/uniformity.h"
 #include "src/util/error.h"
@@ -205,6 +210,156 @@ TEST(Uniformity, LinearPlacementLayerCounts) {
   Placement p = linear_placement(t);
   for (i32 d = 0; d < 3; ++d)
     for (i64 c : subtorus_counts(t, p, d)) EXPECT_EQ(c, 4);
+}
+
+// --- translation stabilizer ------------------------------------------------
+
+/// The node a + h reaches (coordinate-wise modulo each radix).
+NodeId translate(const Torus& t, NodeId a, NodeId h) {
+  const Coord ac = t.coord(a), hc = t.coord(h);
+  Coord c = ac;
+  for (std::size_t i = 0; i < c.size(); ++i)
+    c[i] = (ac[i] + hc[i]) % t.radices()[i];
+  return t.node_id(c);
+}
+
+/// Brute force: every node h with P + h ⊆ P.
+std::vector<NodeId> stabilizer_oracle(const Torus& t, const Placement& p) {
+  std::vector<NodeId> out;
+  for (NodeId h = 0; h < t.num_nodes(); ++h) {
+    bool fixes = true;
+    for (const NodeId a : p.nodes())
+      fixes = fixes && p.contains(translate(t, a, h));
+    if (fixes) out.push_back(h);
+  }
+  return out;
+}
+
+struct Case {
+  Torus torus;
+  Placement placement;
+};
+
+std::vector<Case> stabilizer_cases() {
+  std::vector<Case> out;
+  const Torus t4(3, 4), t5(2, 5), t6(2, 6), t10(2, 10);
+  const Torus mixed(Radices{4, 6}), mixed3(Radices{3, 4, 2});
+  out.push_back({t4, linear_placement(t4)});
+  out.push_back({t4, linear_placement(t4, SmallVec<i32>{1, 2, 3}, 1)});
+  out.push_back({t6, linear_placement(t6, SmallVec<i32>{3, 1}, 2)});
+  for (i32 t = 1; t <= 4; ++t)
+    out.push_back({t4, multiple_linear_placement(t4, t)});
+  for (i32 t = 1; t <= 6; ++t)
+    out.push_back({t6, multiple_linear_placement(t6, t)});
+  out.push_back({t5, shifted_diagonal_placement(t5, 3)});
+  out.push_back({t10, perfect_lee_placement(t10)});
+  out.push_back({mixed, modular_placement(mixed, SmallVec<i32>{1, 1}, 2)});
+  out.push_back({mixed, diagonal_placement_mixed(mixed, 0, 1)});
+  out.push_back({mixed3, subtorus_placement(mixed3, 1, 3)});
+  out.push_back({mixed3, full_population(mixed3)});
+  out.push_back({t4, clustered_placement(t4, 20)});
+  out.push_back({t4, Placement(t4, {}, "empty")});
+  out.push_back({t4, Placement(t4, {37}, "single")});
+  // Two residue classes of the all-ones form that are not consecutive.
+  std::vector<NodeId> classes;
+  for (NodeId n = 0; n < t6.num_nodes(); ++n)
+    if ((t6.coord_of(n, 0) + t6.coord_of(n, 1)) % 6 % 3 == 1)
+      classes.push_back(n);
+  out.push_back({t6, Placement(t6, classes, "residues 1,4")});
+  for (u64 seed = 1; seed <= 6; ++seed)
+    out.push_back({mixed3, random_placement(mixed3, 12, seed)});
+  return out;
+}
+
+TEST(Stabilizer, MatchesBruteForce) {
+  for (const Case& c : stabilizer_cases()) {
+    // Every translation fixes the empty set; it gets H = {0} instead
+    // (KnownOrders), there being no coset to fold.
+    if (c.placement.size() == 0) continue;
+    const Stabilizer st = stabilizer(c.torus, c.placement);
+    ASSERT_FALSE(st.group.empty()) << c.placement.name();
+    EXPECT_EQ(st.group.front(), 0) << c.placement.name();
+    std::vector<NodeId> sorted = st.group;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, stabilizer_oracle(c.torus, c.placement))
+        << c.placement.name();
+  }
+}
+
+TEST(Stabilizer, IsAGroupThatFixesThePlacement) {
+  for (const Case& c : stabilizer_cases()) {
+    const Stabilizer st = stabilizer(c.torus, c.placement);
+    const std::set<NodeId> group(st.group.begin(), st.group.end());
+    EXPECT_EQ(group.size(), st.group.size()) << c.placement.name();
+    // A finite subset closed under addition is a subgroup.
+    for (const NodeId a : st.group)
+      for (const NodeId b : st.group)
+        EXPECT_TRUE(group.count(translate(c.torus, a, b)))
+            << c.placement.name();
+    for (const NodeId h : st.group) {
+      std::vector<NodeId> moved;
+      for (const NodeId a : c.placement.nodes())
+        moved.push_back(translate(c.torus, a, h));
+      std::sort(moved.begin(), moved.end());
+      EXPECT_EQ(moved, c.placement.nodes()) << c.placement.name();
+    }
+  }
+}
+
+TEST(Stabilizer, OneLowestRepresentativePerCoset) {
+  for (const Case& c : stabilizer_cases()) {
+    const Stabilizer st = stabilizer(c.torus, c.placement);
+    EXPECT_TRUE(std::is_sorted(st.reps.begin(), st.reps.end()))
+        << c.placement.name();
+    EXPECT_EQ(static_cast<i64>(st.reps.size() * st.group.size()),
+              c.placement.size())
+        << c.placement.name();
+    // The cosets r + H are disjoint, lie in P, cover it, and r is the
+    // lowest node of its coset.
+    std::set<NodeId> covered;
+    for (const NodeId r : st.reps) {
+      for (const NodeId h : st.group) {
+        const NodeId member = translate(c.torus, r, h);
+        EXPECT_TRUE(c.placement.contains(member)) << c.placement.name();
+        EXPECT_TRUE(covered.insert(member).second) << c.placement.name();
+        EXPECT_LE(r, member) << c.placement.name();
+      }
+    }
+    EXPECT_EQ(static_cast<i64>(covered.size()), c.placement.size())
+        << c.placement.name();
+  }
+}
+
+TEST(Stabilizer, KnownOrders) {
+  const Torus t(3, 5);
+  EXPECT_EQ(stabilizer(t, linear_placement(t)).group.size(), 25u);
+  EXPECT_EQ(stabilizer(t, multiple_linear_placement(t, 3)).group.size(), 25u);
+  EXPECT_EQ(stabilizer(t, multiple_linear_placement(t, 3)).reps.size(), 3u);
+  EXPECT_EQ(stabilizer(t, subtorus_placement(t, 0, 2)).group.size(), 25u);
+  EXPECT_EQ(stabilizer(t, full_population(t)).group.size(), 125u);
+  EXPECT_EQ(stabilizer(t, full_population(t)).reps,
+            (std::vector<NodeId>{0}));
+  const Stabilizer empty = stabilizer(t, Placement(t, {}, "empty"));
+  EXPECT_EQ(empty.group, (std::vector<NodeId>{0}));
+  EXPECT_TRUE(empty.reps.empty());
+  const Stabilizer one = stabilizer(t, Placement(t, {7}, "one"));
+  EXPECT_EQ(one.group, (std::vector<NodeId>{0}));
+  EXPECT_EQ(one.reps, (std::vector<NodeId>{7}));
+  EXPECT_THROW(stabilizer(Torus(2, 4), linear_placement(t)), Error);
+}
+
+TEST(Stabilizer, RandomPlacementsAreAsymmetric) {
+  for (const Radices& radices :
+       {Radices{8, 8, 8}, Radices{12, 12}, Radices{4, 5, 6}}) {
+    const Torus t(radices);
+    for (u64 seed = 1; seed <= 10; ++seed) {
+      const Placement p = random_placement(t, 12 + static_cast<i64>(seed) * 7,
+                                           seed);
+      const Stabilizer st = stabilizer(t, p);
+      EXPECT_EQ(st.group.size(), 1u) << p.name();
+      EXPECT_EQ(st.reps, p.nodes()) << p.name();
+    }
+  }
 }
 
 }  // namespace

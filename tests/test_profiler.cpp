@@ -68,6 +68,8 @@ TEST(ProfilerDisabled, PhasesAreNoOps) {
 TEST(PhaseAttribution, OdrLoadsBreaksDownIntoDiffAndPrefix) {
   Torus torus(3, 4);
   const Placement p = linear_placement(torus);
+  const Stabilizer st = stabilizer(torus, p);
+  ASSERT_EQ(static_cast<i64>(st.group.size()), p.size());  // one coset
   obs::profiler().start(phase_only());
   g_sink += odr_loads(torus, p).max_load();
   obs::profiler().stop();
@@ -78,20 +80,26 @@ TEST(PhaseAttribution, OdrLoadsBreaksDownIntoDiffAndPrefix) {
   const std::vector<std::string> root{"load.odr"};
   const std::vector<std::string> diff{"load.odr", "ring.diff"};
   const std::vector<std::string> prefix{"load.odr", "ring.prefix"};
+  const std::vector<std::string> fold{"load.odr", "ring.fold"};
   ASSERT_TRUE(calls.count(root)) << "missing load.odr root phase";
   ASSERT_TRUE(calls.count(diff)) << "missing ring.diff child phase";
   ASSERT_TRUE(calls.count(prefix)) << "missing ring.prefix child phase";
+  ASSERT_TRUE(calls.count(fold)) << "missing ring.fold child phase";
   EXPECT_EQ(calls.at(root), 1);
-  // One difference-array pass per source, one reduce + prefix-sum pass.
-  EXPECT_EQ(calls.at(diff), p.size());
+  // One difference-array pass per coset representative (|P|/|H| sources),
+  // one reduce + prefix-sum pass and one fold over the stabilizer.
+  EXPECT_EQ(calls.at(diff), p.size() / static_cast<i64>(st.group.size()));
   EXPECT_EQ(calls.at(prefix), 1);
+  EXPECT_EQ(calls.at(fold), 1);
+  EXPECT_EQ(calls.size(), 4u);
 
   // Inclusive time of the root covers its children; self + children's
   // totals never exceed the root's total.
   i64 root_total = 0, child_total = 0;
   for (const obs::PhaseRow& row : report.rows) {
     if (row.path == root) root_total = row.total_ns;
-    if (row.path == diff || row.path == prefix) child_total += row.total_ns;
+    if (row.path == diff || row.path == prefix || row.path == fold)
+      child_total += row.total_ns;
   }
   EXPECT_GE(root_total, child_total);
   EXPECT_EQ(report.depth_overflow, 0);
@@ -99,9 +107,14 @@ TEST(PhaseAttribution, OdrLoadsBreaksDownIntoDiffAndPrefix) {
 }
 
 TEST(PhaseAttribution, KernelPhasesAreThreadCountInvariant) {
-  // Past the kernel's per-worker cutover, so four workers really run.
-  Torus torus(3, 6);
-  const Placement p = full_population(torus);
+  // Past the kernel's per-worker cutover, so four workers really run: the
+  // full T7^3 minus node 0 has no translation symmetry, so all 342 nodes
+  // are sources (342·341 pairs).
+  Torus torus(3, 7);
+  std::vector<NodeId> nodes = torus.all_nodes();
+  nodes.erase(nodes.begin());
+  const Placement p(torus, nodes, "full-minus-0");
+  ASSERT_EQ(stabilizer(torus, p).group.size(), 1u);
   const auto run = [&](i32 threads) {
     obs::profiler().start(phase_only());
     g_sink += udr_loads(torus, p, TieBreak::PositiveOnly, threads).max_load();

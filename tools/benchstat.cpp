@@ -28,10 +28,12 @@
 //
 // Besides the baseline diff, one intra-run invariant is asserted: the
 // load kernel asked for four threads must not lose to one thread on a
-// small torus (odr_loads_threads4/T8^3 <= 1.05 x odr_loads/T8^3) — the
-// work-size cutover in the ring kernel (src/load/complete_exchange.cpp)
-// exists precisely to keep small tori on the serial path, and this check
-// keeps it honest without needing a baseline file.
+// small instance (odr_loads_threads4/T8^3-random64 <= 1.05 x
+// odr_loads/T8^3-random64) — the work-size cutover in the ring kernel
+// (src/load/complete_exchange.cpp) exists precisely to keep small
+// instances on the serial path, and this check keeps it honest without
+// needing a baseline file.  The random placement has no translation
+// symmetry, so all 64·63 pairs are evaluated.
 //
 // google-benchmark (bench/) remains the precision tool; benchstat trades
 // precision for a committed, diffable baseline file.
@@ -130,13 +132,20 @@ std::vector<BenchResult> run_benchmarks(int reps) {
   std::vector<BenchResult> results;
 
   {
+    // The linear placement evaluates one source per translation coset; a
+    // random placement has no symmetry, so every source is evaluated.
     Torus torus(3, 8);
     const Placement p = linear_placement(torus);
     results.push_back(time_fn("odr_loads/T8^3", reps, [&] {
       g_sink += odr_loads(torus, p).max_load();
     }));
-    results.push_back(time_fn("odr_loads_threads4/T8^3", reps, [&] {
-      g_sink += odr_loads(torus, p, TieBreak::PositiveOnly, 4).max_load();
+    const Placement random = random_placement(torus, 64, 1);
+    results.push_back(time_fn("odr_loads/T8^3-random64", reps, [&] {
+      g_sink += odr_loads(torus, random).max_load();
+    }));
+    results.push_back(time_fn("odr_loads_threads4/T8^3-random64", reps, [&] {
+      g_sink +=
+          odr_loads(torus, random, TieBreak::PositiveOnly, 4).max_load();
     }));
   }
   {
@@ -152,6 +161,14 @@ std::vector<BenchResult> run_benchmarks(int reps) {
     results.push_back(
         time_fn("udr_loads/T" + std::to_string(k) + "^3", reps,
                 [&] { g_sink += udr_loads(torus, p).max_load(); }));
+  }
+  {
+    // The shape optimize's anneal search evaluates per move.
+    Torus torus(2, 12);
+    const Placement p = random_placement(torus, 12, 1);
+    results.push_back(time_fn("udr_loads/T12^2-random12", reps, [&] {
+      g_sink += udr_loads(torus, p).max_load();
+    }));
   }
   {
     Torus torus(2, 8);
@@ -466,14 +483,15 @@ int diff_against(const std::string& baseline_path,
 }
 
 /// Intra-run invariant: the load kernel asked for four threads must stay
-/// within 5% of one thread on T8^3 (the work-size cutover should keep such
-/// small tori on the serial path outright).  Returns 0 or 1 regressions.
+/// within 5% of one thread on 64 random processors of T8^3 (the work-size
+/// cutover should keep 4032 pairs on the serial path outright).  Returns 0
+/// or 1 regressions.
 int check_parallel_cutover(const std::vector<BenchResult>& results) {
   const BenchResult* serial = nullptr;
   const BenchResult* parallel = nullptr;
   for (const BenchResult& r : results) {
-    if (r.name == "odr_loads/T8^3") serial = &r;
-    if (r.name == "odr_loads_threads4/T8^3") parallel = &r;
+    if (r.name == "odr_loads/T8^3-random64") serial = &r;
+    if (r.name == "odr_loads_threads4/T8^3-random64") parallel = &r;
   }
   if (serial == nullptr || parallel == nullptr || serial->min_ns <= 0)
     return 0;
@@ -483,13 +501,15 @@ int check_parallel_cutover(const std::vector<BenchResult>& results) {
   const double ratio = static_cast<double>(parallel->min_ns) /
                        static_cast<double>(serial->min_ns);
   if (ratio <= 1.05) {
-    std::cout << "parallel cutover ok: odr_loads_threads4/T8^3 = "
-              << fmt(ratio, 3) << "x odr_loads/T8^3 (limit 1.05x)\n";
+    std::cout << "parallel cutover ok: odr_loads_threads4/T8^3-random64 = "
+              << fmt(ratio, 3)
+              << "x odr_loads/T8^3-random64 (limit 1.05x)\n";
     return 0;
   }
-  std::cout << "REGRESSED: odr_loads_threads4/T8^3 is " << fmt(ratio, 3)
-            << "x odr_loads/T8^3 (limit 1.05x) — the work-size cutover "
-               "should keep T8^3 on the serial path\n";
+  std::cout << "REGRESSED: odr_loads_threads4/T8^3-random64 is "
+            << fmt(ratio, 3)
+            << "x odr_loads/T8^3-random64 (limit 1.05x) — the work-size "
+               "cutover should keep 4032 pairs on the serial path\n";
   return 1;
 }
 
