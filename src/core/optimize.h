@@ -13,6 +13,15 @@
 //     for instances beyond enumeration.
 //
 // Both evaluate the exact E_max of Definition 4 for the chosen router.
+// Under ODR and UDR a candidate is scored as a delta: LoadDelta
+// (load/complete_exchange.h) keeps the current set's exact integer link
+// sums and evaluates only the pairs a move touches, 4(|P|-1) for one
+// relocated processor, so each candidate's E_max is the same double
+// measure_loads gives.  Adaptive loads are order-dependent double sums
+// that a delta would change in the last bits (and with them the accept
+// decisions), so under Adaptive every candidate is measured whole.
+// Each search records load.pairs_evaluated and router.tie_breaks for the
+// pairs its delta evaluator went through, once at its end.
 
 #pragma once
 
@@ -36,7 +45,9 @@ SearchResult exhaustive_best_placement(const Torus& torus, i64 size,
 /// Simulated annealing from a random start: each move relocates one
 /// processor to a random empty node; worse moves are accepted with
 /// probability exp(-delta / T), T decaying geometrically.  Deterministic
-/// given the seed.  Returns the best placement seen.
+/// given the seed.  Returns the best placement seen.  With size equal to
+/// the torus size the full placement is the only candidate: it is returned
+/// with evaluated = 1.
 SearchResult anneal_placement(const Torus& torus, i64 size, RouterKind kind,
                               i64 iterations, u64 seed);
 

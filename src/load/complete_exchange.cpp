@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <variant>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -35,7 +36,9 @@ constexpr i64 kExactInDouble = i64{1} << 53;
 /// the LoadMap needs no extra slots.
 struct Rings {
   explicit Rings(const Torus& torus)
-      : per_node(2 * torus.dims()), unit(2 * factorial(torus.dims())) {
+      : num_nodes(torus.num_nodes()),
+        per_node(2 * torus.dims()),
+        unit(2 * factorial(torus.dims())) {
     for (i32 dim = 0; dim < torus.dims(); ++dim) {
       radix.push_back(torus.radix(dim));
       stride.push_back(torus.stride(dim));
@@ -43,7 +46,7 @@ struct Rings {
     }
   }
 
-  i64 per_node;
+  i64 num_nodes, per_node;
   /// Accumulation units per unit of load: 1/(2·d!) divides every ODR and
   /// UDR segment weight.
   i64 unit;
@@ -111,6 +114,107 @@ struct Correction {
   bool split = false;
 };
 
+/// ODR's per-pair segments: `(diff, src, dst, node, sign, ties)` adds `sign`
+/// (+1 or -1) times the correction segments of the ordered pair src -> dst
+/// (coordinate arrays; `node` is src's id) to a difference array and counts
+/// the pair's ties.  ring_loads and LoadDelta both call it.
+struct OdrPairs {
+  OdrPairs(const Torus& torus, const SmallVec<i32>& order, TieBreak t)
+      : g(torus), ord(OdrRouter(order, t).correction_order(torus)), tie(t) {}
+
+  void operator()(i64* diff, const i64* src, const i64* dst, i64 node,
+                  i64 sign, i64& ties) const {
+    // Entering dimension ord[idx], the packet sits at dst in the
+    // dimensions corrected before it and at src in the rest; that state
+    // does not depend on any tie direction taken earlier.
+    for (const i32 o : ord) {
+      const auto dim = static_cast<std::size_t>(o);
+      if (src[dim] == dst[dim]) continue;
+      const i64 base = node - src[dim] * g.stride[dim];
+      Correction(g, dim, src[dim], dst[dim], tie, ties)
+          .add(diff, g, base, sign * g.unit);
+      node = base + dst[dim] * g.stride[dim];
+    }
+  }
+
+  Rings g;
+  SmallVec<i32> ord;
+  TieBreak tie;
+};
+
+/// UDR's per-pair segments, called like OdrPairs.  Correcting dimension j
+/// after the subset S of the other s-1 differing dimensions happens in
+/// m!(s-1-m)!/s! of all s! orders (m = |S|): in units of 1/(2·d!) that is
+/// m!(s-1-m)!·(d!/s!)·2.
+struct UdrPairs {
+  UdrPairs(const Torus& torus, TieBreak t) : g(torus), tie(t) {
+    const auto d = static_cast<std::size_t>(torus.dims());
+    for (std::size_t s = 1; s <= d; ++s)
+      for (std::size_t m = 0; m < s; ++m)
+        order_units[s][m] = factorial(static_cast<i64>(m)) *
+                            factorial(static_cast<i64>(s - 1 - m)) *
+                            (g.unit / factorial(static_cast<i64>(s)));
+  }
+
+  void operator()(i64* diff, const i64* src, const i64* dst, i64 src_node,
+                  i64 sign, i64& ties) const {
+    SmallVec<std::size_t> diff_dims;
+    for (std::size_t dim = 0; dim < g.radix.size(); ++dim)
+      if (src[dim] != dst[dim]) diff_dims.push_back(dim);
+    const std::size_t s = diff_dims.size();
+    for (const std::size_t j : diff_dims) {
+      const Correction c(g, j, src[j], dst[j], tie, ties);
+      // The j-segment enters with the dimensions of the subset already at
+      // dst: its ring base moves by (dst_i - src_i)·stride_i per corrected
+      // dimension i.  base[mask] lists every subset.
+      i64 base[std::size_t{1} << (kMaxDims - 1)];
+      base[0] = src_node - src[j] * g.stride[j];
+      std::size_t count = 1;
+      for (const std::size_t i : diff_dims) {
+        if (i == j) continue;
+        for (std::size_t m = 0; m < count; ++m)
+          base[count + m] = base[m] + (dst[i] - src[i]) * g.stride[i];
+        count *= 2;
+      }
+      for (std::size_t mask = 0; mask < count; ++mask)
+        c.add(diff, g, base[mask],
+              sign * order_units[s][static_cast<std::size_t>(
+                         popcount32(static_cast<std::uint32_t>(mask)))]);
+    }
+  }
+
+  Rings g;
+  TieBreak tie;
+  i64 order_units[kMaxDims + 1][kMaxDims] = {};
+};
+
+/// Turns a difference array into link sums in place: one prefix pass along
+/// every ring.
+void prefix_rings(const Rings& g, std::vector<i64>& acc) {
+  for (std::size_t dim = 0; dim < g.radix.size(); ++dim) {
+    const i64 k = g.radix[dim];
+    const i64 stride = g.stride[dim];
+    const auto es = static_cast<std::size_t>(g.edge_stride[dim]);
+    for (i64 hi = 0; hi < g.num_nodes; hi += stride * k) {
+      for (i64 lo = 0; lo < stride; ++lo) {
+        auto e = static_cast<std::size_t>((hi + lo) * g.per_node) + 2 * dim;
+        for (i64 x = 1; x < k; ++x, e += es) {
+          acc[e + es] += acc[e];
+          acc[e + es + 1] += acc[e + 1];
+        }
+      }
+    }
+  }
+}
+
+/// A pair puts at most one unit of load (g.unit units) on a link, so no
+/// link or partial sum of n processors exceeds n(n-1)·g.unit: below 2^53
+/// the final conversion is exact and the one division correctly rounded.
+void require_exact(const Rings& g, i64 n) {
+  TP_REQUIRE(n < (i64{1} << 26) && n * (n - 1) < kExactInDouble / g.unit,
+             "placement too large for exact fixed-point loads");
+}
+
 /// Node coordinates, decoded once: d entries per node, in `nodes` order.
 std::vector<i64> decode(const Torus& torus, const std::vector<NodeId>& nodes) {
   std::vector<i64> coords;
@@ -177,27 +281,23 @@ std::vector<double> fold_cosets(const Torus& torus,
   return loads;
 }
 
-/// The one ODR/UDR load kernel.  `per_pair(diff, src, dst, src_node, ties)`
-/// adds one ordered pair's correction segments (src/dst: coordinate
-/// arrays) to a difference array.  Only one source per coset of the
-/// placement's translation stabilizer H is evaluated, against every
-/// destination; the sources are partitioned over up to `threads` workers,
-/// each with a private i64 array.  The arrays are summed as integers,
+/// The one ODR/UDR load kernel.  `per_pair` (OdrPairs or UdrPairs) adds one
+/// ordered pair's correction segments to a difference array.  Only one
+/// source per coset of the placement's translation stabilizer H is
+/// evaluated, against every destination; the sources are partitioned over
+/// up to `threads` workers, each with a private i64 array.  The arrays are summed as integers,
 /// prefix-summed once along every ring, folded over H (fold_cosets) and
 /// divided once per link value, so the result is the correctly rounded
 /// exact load and bit-identical for every thread count.  When H = {0}
 /// every node of P is a representative and the fold only divides.
 template <typename PerPair>
-LoadMap ring_loads(const Torus& torus, const Rings& g, const Placement& p,
-                   i32 threads, PerPair&& per_pair) {
+LoadMap ring_loads(const Torus& torus, const Placement& p, i32 threads,
+                   const PerPair& per_pair) {
   p.check_torus(torus);
   TP_REQUIRE(threads >= 1, "need at least one analyzer thread");
+  const Rings& g = per_pair.g;
   const i64 n = p.size();
-  // A pair puts at most one unit of load (g.unit units) on a link, so no
-  // link or partial sum exceeds |P|(|P|-1)·g.unit: below 2^53 the final
-  // conversion is exact and the one division correctly rounded.
-  TP_REQUIRE(n < (i64{1} << 26) && n * (n - 1) < kExactInDouble / g.unit,
-             "placement too large for exact fixed-point loads");
+  require_exact(g, n);
   TP_OBS_COUNT("load.pairs_evaluated", n * (n - 1));
 
   const auto d = static_cast<std::size_t>(torus.dims());
@@ -224,7 +324,7 @@ LoadMap ring_loads(const Torus& torus, const Rings& g, const Placement& p,
       for (std::size_t di = 0; di < p.nodes().size(); ++di)
         if (di != si)
           per_pair(diff[w].data(), &coords[si * d], &coords[di * d],
-                   p.nodes()[si], ties[w]);
+                   p.nodes()[si], 1, ties[w]);
     }
   });
   // A pair's ties depend only on its coordinate differences, so every
@@ -239,25 +339,18 @@ LoadMap ring_loads(const Torus& torus, const Rings& g, const Placement& p,
     TP_PROF_PHASE("ring.prefix");
     for (std::size_t w = 1; w < diff.size(); ++w)
       for (std::size_t e = 0; e < num_edges; ++e) acc[e] += diff[w][e];
-    for (std::size_t dim = 0; dim < d; ++dim) {
-      const i64 k = g.radix[dim];
-      const i64 stride = g.stride[dim];
-      const auto es = static_cast<std::size_t>(g.edge_stride[dim]);
-      for (i64 hi = 0; hi < torus.num_nodes(); hi += stride * k) {
-        for (i64 lo = 0; lo < stride; ++lo) {
-          auto e = static_cast<std::size_t>((hi + lo) * g.per_node) + 2 * dim;
-          for (i64 x = 1; x < k; ++x, e += es) {
-            acc[e + es] += acc[e];
-            acc[e + es + 1] += acc[e + 1];
-          }
-        }
-      }
-    }
+    prefix_rings(g, acc);
   }
   const auto unit = static_cast<double>(g.unit);
   return LoadMap(torus, fold_cosets(torus, st.group, acc, [unit](i64 v) {
                    return static_cast<double>(v) / unit;
                  }));
+}
+
+SmallVec<i32> identity_order(const Torus& torus) {
+  SmallVec<i32> identity;
+  for (i32 dim = 0; dim < torus.dims(); ++dim) identity.push_back(dim);
+  return identity;
 }
 
 }  // namespace
@@ -281,76 +374,20 @@ LoadMap reference_loads(const Torus& torus, const Placement& p,
 
 LoadMap odr_loads(const Torus& torus, const Placement& p, TieBreak tie,
                   i32 threads) {
-  SmallVec<i32> identity;
-  for (i32 dim = 0; dim < torus.dims(); ++dim) identity.push_back(dim);
-  return odr_loads_ordered(torus, p, identity, tie, threads);
+  return odr_loads_ordered(torus, p, identity_order(torus), tie, threads);
 }
 
 LoadMap odr_loads_ordered(const Torus& torus, const Placement& p,
                           const SmallVec<i32>& order, TieBreak tie,
                           i32 threads) {
   TP_OBS_SCOPE("load.odr");
-  const SmallVec<i32> ord = OdrRouter(order, tie).correction_order(torus);
-  const Rings g(torus);
-  return ring_loads(
-      torus, g, p, threads,
-      [&](i64* diff, const i64* src, const i64* dst, i64 node, i64& ties) {
-        // Entering dimension ord[idx], the packet sits at dst in the
-        // dimensions corrected before it and at src in the rest; that
-        // state does not depend on any tie direction taken earlier.
-        for (const i32 o : ord) {
-          const auto dim = static_cast<std::size_t>(o);
-          if (src[dim] == dst[dim]) continue;
-          const i64 base = node - src[dim] * g.stride[dim];
-          Correction(g, dim, src[dim], dst[dim], tie, ties)
-              .add(diff, g, base, g.unit);
-          node = base + dst[dim] * g.stride[dim];
-        }
-      });
+  return ring_loads(torus, p, threads, OdrPairs(torus, order, tie));
 }
 
 LoadMap udr_loads(const Torus& torus, const Placement& p, TieBreak tie,
                   i32 threads) {
   TP_OBS_SCOPE("load.udr");
-  const Rings g(torus);
-  const std::size_t d = static_cast<std::size_t>(torus.dims());
-  // Correcting dimension j after the subset S of the other s-1 differing
-  // dimensions happens in m!(s-1-m)!/s! of all s! orders (m = |S|): in
-  // units of 1/(2·d!) that is m!(s-1-m)!·(d!/s!)·2.
-  i64 order_units[kMaxDims + 1][kMaxDims] = {};
-  for (std::size_t s = 1; s <= d; ++s)
-    for (std::size_t m = 0; m < s; ++m)
-      order_units[s][m] = factorial(static_cast<i64>(m)) *
-                          factorial(static_cast<i64>(s - 1 - m)) *
-                          (g.unit / factorial(static_cast<i64>(s)));
-  return ring_loads(
-      torus, g, p, threads,
-      [&](i64* diff, const i64* src, const i64* dst, i64 src_node,
-          i64& ties) {
-        SmallVec<std::size_t> diff_dims;
-        for (std::size_t dim = 0; dim < d; ++dim)
-          if (src[dim] != dst[dim]) diff_dims.push_back(dim);
-        const std::size_t s = diff_dims.size();
-        for (const std::size_t j : diff_dims) {
-          const Correction c(g, j, src[j], dst[j], tie, ties);
-          // The j-segment enters with the dimensions of the subset already
-          // at dst: its ring base moves by (dst_i - src_i)·stride_i per
-          // corrected dimension i.  base[mask] lists every subset.
-          i64 base[std::size_t{1} << (kMaxDims - 1)];
-          base[0] = src_node - src[j] * g.stride[j];
-          std::size_t count = 1;
-          for (const std::size_t i : diff_dims) {
-            if (i == j) continue;
-            for (std::size_t m = 0; m < count; ++m)
-              base[count + m] = base[m] + (dst[i] - src[i]) * g.stride[i];
-            count *= 2;
-          }
-          for (std::size_t mask = 0; mask < count; ++mask)
-            c.add(diff, g, base[mask],
-                  order_units[s][static_cast<std::size_t>(
-                      popcount32(static_cast<std::uint32_t>(mask)))]);
-        }
-      });
+  return ring_loads(torus, p, threads, UdrPairs(torus, tie));
 }
 
 LoadMap udr_loads_enumerated(const Torus& torus, const Placement& p,
@@ -496,5 +533,158 @@ double expected_total_load(const Torus& torus, const Placement& p) {
       if (a != b) sum += static_cast<double>(torus.lee_distance(a, b));
   return sum;
 }
+
+/// The evaluator's state.  `state` marks every node of the torus: absent,
+/// a member, or (during propose) leaving or joining.
+struct LoadDelta::Impl {
+  enum : char { kAbsent, kMember, kLeaving, kJoining };
+
+  Impl(const Torus& torus, std::variant<OdrPairs, UdrPairs> per_pair)
+      : kernel(std::move(per_pair)),
+        d(static_cast<std::size_t>(torus.dims())),
+        state(static_cast<std::size_t>(torus.num_nodes()), kAbsent),
+        sums(static_cast<std::size_t>(torus.num_directed_edges()), 0),
+        diff(sums.size(), 0) {
+    for (NodeId node = 0; node < torus.num_nodes(); ++node)
+      for (const i32 x : torus.coord(node)) coords.push_back(x);
+  }
+
+  const Rings& rings() const {
+    return std::visit([](const auto& k) -> const Rings& { return k.g; },
+                      kernel);
+  }
+
+  /// Moves every node of `nodes` from state `from` to `to`.  If one is out
+  /// of range or not in `from` (a repeat included), undoes the moves made
+  /// and returns false.
+  bool mark(const std::vector<NodeId>& nodes, char from, char to) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const auto x = static_cast<std::size_t>(nodes[i]);
+      if (nodes[i] < 0 || x >= state.size() || state[x] != from) {
+        for (std::size_t j = 0; j < i; ++j)
+          state[static_cast<std::size_t>(nodes[j])] = from;
+        return false;
+      }
+      state[x] = to;
+    }
+    return true;
+  }
+
+  std::variant<OdrPairs, UdrPairs> kernel;
+  std::size_t d;
+  std::vector<i64> coords;  ///< d per node of the torus
+  std::vector<char> state;
+  std::vector<NodeId> members;
+  /// `sums` is the current set's; propose() builds the candidate's in
+  /// `diff`, and commit() swaps the two.
+  std::vector<i64> sums, diff;
+  i64 max = 0, candidate_max = 0;
+  std::vector<NodeId> out, in;  ///< the pending proposal
+  bool pending = false;
+  i64 pairs = 0, ties = 0;
+};
+
+LoadDelta::LoadDelta(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
+LoadDelta::LoadDelta(LoadDelta&&) noexcept = default;
+LoadDelta::~LoadDelta() = default;
+
+LoadDelta LoadDelta::odr(const Torus& torus, const std::vector<NodeId>& nodes) {
+  LoadDelta delta(std::make_unique<Impl>(
+      torus, OdrPairs(torus, identity_order(torus), TieBreak::PositiveOnly)));
+  delta.propose({}, nodes);
+  delta.commit();
+  return delta;
+}
+
+LoadDelta LoadDelta::udr(const Torus& torus, const std::vector<NodeId>& nodes) {
+  LoadDelta delta(
+      std::make_unique<Impl>(torus, UdrPairs(torus, TieBreak::PositiveOnly)));
+  delta.propose({}, nodes);
+  delta.commit();
+  return delta;
+}
+
+double LoadDelta::emax() const {
+  return static_cast<double>(impl_->max) /
+         static_cast<double>(impl_->rings().unit);
+}
+
+double LoadDelta::propose(const std::vector<NodeId>& out,
+                          const std::vector<NodeId>& in) {
+  Impl& s = *impl_;
+  const Rings& g = s.rings();
+  s.pending = false;
+  require_exact(g, static_cast<i64>(s.members.size()) -
+                       static_cast<i64>(out.size()) +
+                       static_cast<i64>(in.size()));
+  TP_REQUIRE(s.mark(out, Impl::kMember, Impl::kLeaving),
+             "proposal removes a node that is not in the set");
+  if (!s.mark(in, Impl::kAbsent, Impl::kJoining)) {
+    s.mark(out, Impl::kLeaving, Impl::kMember);
+    TP_REQUIRE(false, "proposal adds a node that is already in the set");
+  }
+
+  std::fill(s.diff.begin(), s.diff.end(), i64{0});
+  std::visit(
+      [&s, &out, &in](const auto& per_pair) {
+        const auto pair = [&s, &per_pair](NodeId a, NodeId b, i64 sign) {
+          per_pair(s.diff.data(), &s.coords[static_cast<std::size_t>(a) * s.d],
+                   &s.coords[static_cast<std::size_t>(b) * s.d], a, sign,
+                   s.ties);
+          ++s.pairs;
+        };
+        // Pairs touching `out` over the current set, each once.
+        for (const NodeId x : out)
+          for (const NodeId q : s.members) {
+            if (q == x) continue;
+            pair(x, q, -1);
+            if (s.state[static_cast<std::size_t>(q)] != Impl::kLeaving)
+              pair(q, x, -1);
+          }
+        // Pairs touching `in` over the new set, each once.
+        for (const NodeId x : in) {
+          for (const NodeId q : s.members)
+            if (s.state[static_cast<std::size_t>(q)] == Impl::kMember) {
+              pair(x, q, 1);
+              pair(q, x, 1);
+            }
+          for (const NodeId q : in)
+            if (q != x) pair(x, q, 1);
+        }
+      },
+      s.kernel);
+  s.mark(out, Impl::kLeaving, Impl::kMember);
+  s.mark(in, Impl::kJoining, Impl::kAbsent);
+
+  prefix_rings(g, s.diff);
+  i64 top = 0;
+  for (std::size_t e = 0; e < s.diff.size(); ++e) {
+    s.diff[e] += s.sums[e];
+    top = std::max(top, s.diff[e]);
+  }
+  s.candidate_max = top;
+  s.out = out;
+  s.in = in;
+  s.pending = true;
+  return static_cast<double>(top) / static_cast<double>(g.unit);
+}
+
+void LoadDelta::commit() {
+  Impl& s = *impl_;
+  TP_REQUIRE(s.pending, "no proposal to commit");
+  s.sums.swap(s.diff);
+  s.max = s.candidate_max;
+  s.mark(s.out, Impl::kMember, Impl::kAbsent);
+  std::erase_if(s.members, [&s](NodeId q) {
+    return s.state[static_cast<std::size_t>(q)] == Impl::kAbsent;
+  });
+  s.mark(s.in, Impl::kAbsent, Impl::kMember);
+  s.members.insert(s.members.end(), s.in.begin(), s.in.end());
+  s.pending = false;
+}
+
+i64 LoadDelta::pairs_evaluated() const { return impl_->pairs; }
+
+i64 LoadDelta::tie_breaks() const { return impl_->ties; }
 
 }  // namespace tp

@@ -12,6 +12,12 @@
 //   udr_loads      O((|P|/|H|)·|P| · s·2^s + |E|)     ring difference arrays
 //   adaptive_loads O((|P|/|H|)·|P| · corridor + |E|)  multinomial path
 //                                                     fractions
+//   LoadDelta      O((|R|+|A|)·|P| · pair + |E|)      per proposal that
+//                                                     removes R and adds A
+//
+// (pair: d for ODR, s·2^s for UDR.)  LoadDelta keeps one set's exact ODR or
+// UDR sums for the placement searches and scores a change from the pairs it
+// touches: 4(|P|-1) pairs to move one processor instead of |P|(|P|-1).
 //
 // H is the placement's translation stabilizer {h : P + h = P} (see
 // stabilizer() in placement.h).  All three routers commute with
@@ -25,7 +31,9 @@
 // 1-D ring, so it is added as O(1) updates to an i64 difference array in
 // units of 1/(2·d!) (every ODR and UDR segment weight is a whole number of
 // them), then one prefix-sum pass over all links, the integer fold over H
-// and one division per link yield the correctly rounded exact load.
+// and one division per link yield the correctly rounded exact load.  Each
+// router has one per-pair definition, shared with LoadDelta, as is the
+// prefix pass.
 // `threads` partitions the sources over workers with private integer
 // arrays, so the result is bit-identical for every thread count.
 //
@@ -33,6 +41,9 @@
 // independent implementation for cross-checking.
 
 #pragma once
+
+#include <memory>
+#include <vector>
 
 #include "src/load/load_map.h"
 #include "src/placement/placement.h"
@@ -78,5 +89,52 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p);
 /// The value total_load() must equal for any minimal router: the sum of
 /// Lee distances over all ordered processor pairs.
 double expected_total_load(const Torus& torus, const Placement& p);
+
+/// The exact ODR or UDR (identity order, positive-only ties, as
+/// measure_loads) link sums of one processor set, kept current as the set
+/// changes: the placement searches' evaluator.  The sums are the ring
+/// kernel's i64 array in units of 1/(2·d!) over every ordered pair of the
+/// set.  A proposal "remove `out`, add `in`" subtracts the pairs touching
+/// `out` over the current set and adds the pairs touching `in` over the new
+/// one, through the same per-pair code and prefix pass as odr_loads and
+/// udr_loads, into one difference array; adding its prefix sums to the
+/// current sums yields the candidate's sums and their maximum in one pass.
+/// Moving one processor of n evaluates 4(n-1) pairs and O(|E|) links
+/// instead of n(n-1) pairs, the stabilizer, the fold and a LoadMap.
+///
+/// emax() is the maximum sum divided by the unit, the same double as
+/// measure_loads(...).max_load() of the set (division by a positive
+/// constant is monotone).
+class LoadDelta {
+ public:
+  /// Sums of `nodes` (distinct node ids of `torus`) under ODR or UDR.
+  static LoadDelta odr(const Torus& torus, const std::vector<NodeId>& nodes);
+  static LoadDelta udr(const Torus& torus, const std::vector<NodeId>& nodes);
+
+  LoadDelta(LoadDelta&&) noexcept;
+  ~LoadDelta();
+
+  /// E_max of the current set.
+  double emax() const;
+
+  /// E_max of the current set with `out` (distinct members) removed and
+  /// `in` (distinct non-members) added.  The set stays as it is until
+  /// commit(); a later propose() replaces this one.
+  double propose(const std::vector<NodeId>& out,
+                 const std::vector<NodeId>& in);
+
+  /// Makes the last proposal the current set.
+  void commit();
+
+  /// Ordered pairs evaluated, and ties among them (as router.tie_breaks
+  /// counts), since construction: the caller records them once.
+  i64 pairs_evaluated() const;
+  i64 tie_breaks() const;
+
+ private:
+  struct Impl;
+  explicit LoadDelta(std::unique_ptr<Impl> impl);
+  std::unique_ptr<Impl> impl_;
+};
 
 }  // namespace tp

@@ -163,11 +163,15 @@ std::vector<BenchResult> run_benchmarks(int reps) {
                 [&] { g_sink += udr_loads(torus, p).max_load(); }));
   }
   {
-    // The shape optimize's anneal search evaluates per move.
+    // The shape optimize searches: 12 processors on T12^2.
     Torus torus(2, 12);
     const Placement p = random_placement(torus, 12, 1);
     results.push_back(time_fn("udr_loads/T12^2-random12", reps, [&] {
       g_sink += udr_loads(torus, p).max_load();
+    }));
+    // The whole search: 5000 moves, each scored by LoadDelta.
+    results.push_back(time_fn("anneal/T12^2-udr12", reps, [&] {
+      g_sink += anneal_placement(torus, 12, RouterKind::Udr, 5000, 7).emax;
     }));
   }
   {
