@@ -4,9 +4,7 @@
 #include <fstream>
 
 #include "src/obs/json.h"
-#include "src/obs/linkprobe.h"
 #include "src/simulate/network_sim.h"
-#include "src/simulate/traffic.h"
 #include "src/util/checked_io.h"
 #include "src/util/error.h"
 #include "src/util/parallel.h"
@@ -15,23 +13,13 @@ namespace tp {
 
 namespace {
 
-/// Busiest link's measured forwards — the degraded counterpart of E_max.
-double probe_emax(const obs::LinkProbe& probe) {
-  i64 best = 0;
-  for (const obs::LinkCounters& c : probe.links())
-    best = std::max(best, c.forwards);
-  return static_cast<double>(best);
-}
-
 /// One complete-exchange run.  A null schedule (or an empty one) runs the
 /// fault-free baseline; recovery reroutes through `router` otherwise.
 SimMetrics run_exchange(const Torus& torus,
                         const std::vector<SimMessage>& messages,
                         const FaultSchedule* schedule, const Router& router,
-                        const ResilienceConfig& config,
-                        obs::LinkProbe* probe) {
+                        const ResilienceConfig& config) {
   SimConfig sim_config;
-  sim_config.probe = probe;
   if (schedule != nullptr) {
     sim_config.recovery.schedule = schedule;
     sim_config.recovery.reroute_router = &router;
@@ -45,21 +33,29 @@ SimMetrics run_exchange(const Torus& torus,
 
 }  // namespace
 
-DegradationReport degradation_report(const Torus& torus, const Placement& p,
-                                     const Router& router,
-                                     const FaultSchedule& schedule,
-                                     const ResilienceConfig& config) {
+ExchangeBaseline exchange_baseline(const Torus& torus, const Placement& p,
+                                   const Router& router,
+                                   const ResilienceConfig& config) {
   TP_REQUIRE(p.size() >= 2,
              "degradation analysis needs at least two processors");
-  const TrafficResult traffic =
-      complete_exchange_traffic(torus, p, router, config.traffic_seed);
+  ExchangeBaseline b;
+  b.traffic = complete_exchange_traffic(torus, p, router, config.traffic_seed);
+  b.metrics = run_exchange(torus, b.traffic.messages, nullptr, router, config);
+  // The busiest link's forward count is the measured E_max.
+  b.emax = static_cast<double>(b.metrics.max_link_forwards);
+  // The fault window defaults to the design's own fault-free makespan so
+  // every rate stresses the active phase of the exchange.
+  b.horizon = config.horizon > 0 ? config.horizon
+                                 : std::max<i64>(b.metrics.cycles, 1);
+  return b;
+}
 
-  obs::LinkProbe baseline_probe(torus.num_directed_edges(), torus.dims());
-  const SimMetrics baseline = run_exchange(torus, traffic.messages, nullptr,
-                                           router, config, &baseline_probe);
-  obs::LinkProbe degraded_probe(torus.num_directed_edges(), torus.dims());
-  const SimMetrics degraded = run_exchange(torus, traffic.messages, &schedule,
-                                           router, config, &degraded_probe);
+DegradationReport degradation_report(const Torus& torus, const Router& router,
+                                     const ExchangeBaseline& baseline,
+                                     const FaultSchedule& schedule,
+                                     const ResilienceConfig& config) {
+  const SimMetrics degraded = run_exchange(
+      torus, baseline.traffic.messages, &schedule, router, config);
 
   DegradationReport r;
   r.router_name = router.name();
@@ -75,30 +71,32 @@ DegradationReport degradation_report(const Torus& torus, const Placement& p,
           ? static_cast<double>(degraded.delivered) /
                 static_cast<double>(degraded.injected)
           : 1.0;
-  r.baseline_cycles = baseline.cycles;
+  r.baseline_cycles = baseline.metrics.cycles;
   r.cycles = degraded.cycles;
   r.completion_inflation =
-      baseline.cycles > 0 ? static_cast<double>(degraded.cycles) /
-                                static_cast<double>(baseline.cycles)
-                          : 1.0;
-  r.baseline_emax = probe_emax(baseline_probe);
-  r.degraded_emax = probe_emax(degraded_probe);
+      r.baseline_cycles > 0 ? static_cast<double>(degraded.cycles) /
+                                  static_cast<double>(r.baseline_cycles)
+                            : 1.0;
+  r.baseline_emax = baseline.emax;
+  r.degraded_emax = static_cast<double>(degraded.max_link_forwards);
   r.emax_inflation =
       r.baseline_emax > 0.0 ? r.degraded_emax / r.baseline_emax : 1.0;
   return r;
 }
 
+DegradationReport degradation_report(const Torus& torus, const Placement& p,
+                                     const Router& router,
+                                     const FaultSchedule& schedule,
+                                     const ResilienceConfig& config) {
+  return degradation_report(torus, router,
+                            exchange_baseline(torus, p, router, config),
+                            schedule, config);
+}
+
 i64 resilience_horizon(const Torus& torus, const Placement& p,
                        const Router& router, const ResilienceConfig& config) {
-  // The fault window defaults to the design's own fault-free makespan so
-  // every rate stresses the active phase of the exchange.
   if (config.horizon > 0) return config.horizon;
-  const TrafficResult traffic =
-      complete_exchange_traffic(torus, p, router, config.traffic_seed);
-  const i64 makespan =
-      run_exchange(torus, traffic.messages, nullptr, router, config, nullptr)
-          .cycles;
-  return std::max<i64>(makespan, 1);
+  return exchange_baseline(torus, p, router, config).horizon;
 }
 
 std::vector<DegradationReport> resilience_sweep(
@@ -109,15 +107,16 @@ std::vector<DegradationReport> resilience_sweep(
     TP_REQUIRE(rate >= 0.0 && rate <= 1.0,
                "fault rate must be a probability in [0, 1]");
 
-  const i64 horizon = resilience_horizon(torus, p, router, config);
-
+  // One traffic draw and one fault-free run serve every rate.
+  const ExchangeBaseline baseline = exchange_baseline(torus, p, router, config);
   std::vector<DegradationReport> curve;
   curve.reserve(fault_rates.size());
   for (double rate : fault_rates) {
-    const FaultSchedule schedule = FaultSchedule::bernoulli(
-        torus, rate, config.repair_prob, horizon, config.schedule_seed);
+    const FaultSchedule schedule =
+        FaultSchedule::bernoulli(torus, rate, config.repair_prob,
+                                 baseline.horizon, config.schedule_seed);
     DegradationReport r =
-        degradation_report(torus, p, router, schedule, config);
+        degradation_report(torus, router, baseline, schedule, config);
     r.fault_rate = rate;
     curve.push_back(std::move(r));
   }
@@ -150,8 +149,7 @@ std::vector<WireCriticality> wire_criticality(const Torus& torus,
           const FaultSchedule schedule =
               FaultSchedule::single_wire(torus, wire);
           const SimMetrics m = run_exchange(torus, traffic.messages,
-                                            &schedule, router, config,
-                                            nullptr);
+                                            &schedule, router, config);
           WireCriticality& w = out[static_cast<std::size_t>(i)];
           w.wire = wire;
           w.dropped = m.dropped;

@@ -27,6 +27,8 @@
 #include "src/placement/placement.h"
 #include "src/routing/router.h"
 #include "src/simulate/fault_schedule.h"
+#include "src/simulate/metrics.h"
+#include "src/simulate/traffic.h"
 #include "src/torus/torus.h"
 
 namespace tp {
@@ -63,6 +65,22 @@ struct DegradationReport {
   double emax_inflation = 1.0;
 };
 
+/// The fault-free half of every degradation report: one complete-exchange
+/// traffic draw (config.traffic_seed) and its fault-free run.  A sweep
+/// computes it once per router and compares every fault rate against it.
+struct ExchangeBaseline {
+  TrafficResult traffic;
+  SimMetrics metrics;  ///< the fault-free run
+  double emax = 0.0;   ///< busiest link's forwards, fault-free
+  i64 horizon = 0;     ///< fault-event window, as resilience_horizon
+};
+
+/// Draws the complete exchange of `p` under `router` and runs it
+/// fault-free.  Deterministic given config.traffic_seed.
+ExchangeBaseline exchange_baseline(const Torus& torus, const Placement& p,
+                                   const Router& router,
+                                   const ResilienceConfig& config = {});
+
 /// Simulates the complete exchange of `p` twice — fault-free, then under
 /// `schedule` with retry/reroute recovery through `router` — and reports
 /// the degradation.  Deterministic given the config seeds.
@@ -71,11 +89,16 @@ DegradationReport degradation_report(const Torus& torus, const Placement& p,
                                      const FaultSchedule& schedule,
                                      const ResilienceConfig& config = {});
 
+/// The same report against an already computed baseline (which must come
+/// from exchange_baseline with the same torus, router and config): only
+/// the degraded run is simulated.
+DegradationReport degradation_report(const Torus& torus, const Router& router,
+                                     const ExchangeBaseline& baseline,
+                                     const FaultSchedule& schedule,
+                                     const ResilienceConfig& config = {});
+
 /// The fault-event window resilience_sweep uses: config.horizon when
 /// positive, otherwise the design's own fault-free makespan (at least 1).
-/// Exposed so checkpointed sweeps (tools CLI --checkpoint) can compute
-/// individual (rate, router) cells identically to an uninterrupted
-/// resilience_sweep call.
 i64 resilience_horizon(const Torus& torus, const Placement& p,
                        const Router& router,
                        const ResilienceConfig& config = {});

@@ -7,6 +7,7 @@ namespace tp {
 
 using routing_detail::allowed_dirs;
 using routing_detail::append_segment;
+using routing_detail::lee_distance;
 
 SmallVec<i32> OdrRouter::correction_order(const Torus& torus) const {
   const std::size_t d = static_cast<std::size_t>(torus.dims());
@@ -34,6 +35,10 @@ std::vector<Path> OdrRouter::paths(const Torus& torus, NodeId p,
   const SmallVec<i32> order = correction_order(torus);
   // Depth-first over the direction choice in each dimension (only tie
   // dimensions with BothDirections ever branch).
+  // Each dimension is corrected once, so the walk still sits on p's
+  // coordinate in the dimension it is about to correct.
+  const Coord cp = torus.coord(p);
+  const Coord cq = torus.coord(q);
   std::vector<Path> result;
   Path prefix;
   prefix.source = p;
@@ -46,8 +51,8 @@ std::vector<Path> OdrRouter::paths(const Torus& torus, NodeId p,
       return;
     }
     const i32 dim = order[idx];
-    const i32 a = torus.coord_of(node, dim);
-    const i32 b = torus.coord_of(q, dim);
+    const i32 a = cp[static_cast<std::size_t>(dim)];
+    const i32 b = cq[static_cast<std::size_t>(dim)];
     const auto dirs = allowed_dirs(torus, dim, a, b, tie_);
     if (dirs.empty()) {
       self(self, node, idx + 1);
@@ -57,7 +62,7 @@ std::vector<Path> OdrRouter::paths(const Torus& torus, NodeId p,
       const Dir dir = dirs[i] > 0 ? Dir::Pos : Dir::Neg;
       const std::size_t mark = prefix.edges.size();
       const NodeId next =
-          append_segment(torus, node, dim, b, dir, prefix.edges);
+          append_segment(torus, node, dim, a, b, dir, prefix.edges);
       self(self, next, idx + 1);
       prefix.edges.resize(mark);
     }
@@ -84,20 +89,23 @@ Path OdrRouter::sample_path(const Torus& torus, NodeId p, NodeId q,
   if (tie_ == TieBreak::PositiveOnly) return canonical_path(torus, p, q);
   // Flip a fair coin per tie dimension instead of materializing all paths.
   const SmallVec<i32> order = correction_order(torus);
+  const Coord cp = torus.coord(p);
+  const Coord cq = torus.coord(q);
   Path path;
   path.source = p;
   path.target = q;
+  path.edges.reserve(static_cast<std::size_t>(lee_distance(torus, cp, cq)));
   NodeId node = p;
   for (std::size_t idx = 0; idx < order.size(); ++idx) {
     const i32 dim = order[idx];
-    const i32 a = torus.coord_of(node, dim);
-    const i32 b = torus.coord_of(q, dim);
+    const i32 a = cp[static_cast<std::size_t>(dim)];
+    const i32 b = cq[static_cast<std::size_t>(dim)];
     const auto dirs = allowed_dirs(torus, dim, a, b, tie_);
     if (dirs.empty()) continue;
     const std::size_t pick =
         dirs.size() == 1 ? 0 : static_cast<std::size_t>(rng.below(2));
     const Dir dir = dirs[pick] > 0 ? Dir::Pos : Dir::Neg;
-    node = append_segment(torus, node, dim, b, dir, path.edges);
+    node = append_segment(torus, node, dim, a, b, dir, path.edges);
   }
   TP_ASSERT(node == q, "sampled ODR path did not reach target");
   return path;
@@ -106,18 +114,21 @@ Path OdrRouter::sample_path(const Torus& torus, NodeId p, NodeId q,
 Path OdrRouter::canonical_path(const Torus& torus, NodeId p, NodeId q) const {
   TP_REQUIRE(torus.valid_node(p) && torus.valid_node(q), "node out of range");
   const SmallVec<i32> order = correction_order(torus);
+  const Coord cp = torus.coord(p);
+  const Coord cq = torus.coord(q);
   Path path;
   path.source = p;
   path.target = q;
+  path.edges.reserve(static_cast<std::size_t>(lee_distance(torus, cp, cq)));
   NodeId node = p;
   for (std::size_t idx = 0; idx < order.size(); ++idx) {
     const i32 dim = order[idx];
-    const i32 a = torus.coord_of(node, dim);
-    const i32 b = torus.coord_of(q, dim);
+    const i32 a = cp[static_cast<std::size_t>(dim)];
+    const i32 b = cq[static_cast<std::size_t>(dim)];
     const auto dirs = allowed_dirs(torus, dim, a, b, TieBreak::PositiveOnly);
     if (dirs.empty()) continue;
     const Dir dir = dirs[0] > 0 ? Dir::Pos : Dir::Neg;
-    node = append_segment(torus, node, dim, b, dir, path.edges);
+    node = append_segment(torus, node, dim, a, b, dir, path.edges);
   }
   TP_ASSERT(node == q, "canonical ODR path did not reach target");
   return path;

@@ -19,8 +19,13 @@ std::vector<NodeId> Path::nodes(const Torus& torus) const {
 }
 
 void Path::verify_connected(const Torus& torus) const {
-  const auto seq = nodes(torus);  // throws if not contiguous
-  TP_REQUIRE(seq.back() == target, "path does not end at its target");
+  NodeId at = source;
+  for (EdgeId e : edges) {
+    const Link l = torus.link(e);
+    TP_REQUIRE(l.tail == at, "path edges are not contiguous");
+    at = l.head;
+  }
+  TP_REQUIRE(at == target, "path does not end at its target");
 }
 
 void Path::verify_minimal(const Torus& torus) const {

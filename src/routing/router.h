@@ -57,10 +57,16 @@ SmallVec<i32> allowed_dirs(const Torus& torus, i32 dim, i32 a, i32 b,
                            TieBreak tie);
 
 /// Appends to `path` the links of a full correction of dimension `dim`
-/// from the coordinate of `node` to coordinate `to`, moving in direction
-/// `dir`.  Returns the node reached.
-NodeId append_segment(const Torus& torus, NodeId node, i32 dim, i32 to,
-                      Dir dir, std::vector<EdgeId>& path);
+/// from coordinate `from` (the coordinate of `node` in `dim`, which the
+/// caller already knows) to coordinate `to`, moving in direction `dir`.
+/// Each step is stride arithmetic on the known coordinate, with no
+/// division.  Returns the node reached.
+NodeId append_segment(const Torus& torus, NodeId node, i32 dim, i32 from,
+                      i32 to, Dir dir, std::vector<EdgeId>& path);
+
+/// Lee distance between two decoded coordinate tuples (the length of every
+/// minimal path between them), without re-decoding node ids.
+i64 lee_distance(const Torus& torus, const Coord& a, const Coord& b);
 
 /// Steps needed to correct dimension `dim` from a to b in direction `dir`.
 i64 steps_in_dir(const Torus& torus, i32 dim, i32 a, i32 b, Dir dir);

@@ -10,6 +10,7 @@ namespace tp {
 
 using routing_detail::allowed_dirs;
 using routing_detail::append_segment;
+using routing_detail::lee_distance;
 
 SmallVec<i32> UdrRouter::differing_dims(const Torus& torus, NodeId p,
                                         NodeId q) {
@@ -24,15 +25,22 @@ Path UdrRouter::path_for_order(const Torus& torus, NodeId p, NodeId q,
                                const SmallVec<i32>& dirs) const {
   TP_REQUIRE(order.size() == dirs.size(),
              "one direction per ordered dimension required");
+  // `at` tracks the walk's coordinates, so a repeated dimension in
+  // `order` still steps from where the walk really is.
+  Coord at = torus.coord(p);
+  const Coord cq = torus.coord(q);
   Path path;
   path.source = p;
   path.target = q;
+  path.edges.reserve(static_cast<std::size_t>(lee_distance(torus, at, cq)));
   NodeId node = p;
   for (std::size_t i = 0; i < order.size(); ++i) {
     const i32 dim = order[i];
+    TP_REQUIRE(dim >= 0 && dim < torus.dims(), "dimension out of range");
+    const auto di = static_cast<std::size_t>(dim);
     const Dir dir = dirs[i] > 0 ? Dir::Pos : Dir::Neg;
-    node = append_segment(torus, node, dim, torus.coord_of(q, dim), dir,
-                          path.edges);
+    node = append_segment(torus, node, dim, at[di], cq[di], dir, path.edges);
+    at[di] = cq[di];
   }
   TP_REQUIRE(node == q, "order/dirs do not route p to q");
   return path;
@@ -100,7 +108,11 @@ i64 UdrRouter::num_paths(const Torus& torus, NodeId p, NodeId q) const {
 
 Path UdrRouter::sample_path(const Torus& torus, NodeId p, NodeId q,
                             Xoshiro256SS& rng) const {
-  SmallVec<i32> order = differing_dims(torus, p, q);
+  const Coord cp = torus.coord(p);
+  const Coord cq = torus.coord(q);
+  SmallVec<i32> order;
+  for (std::size_t d = 0; d < cp.size(); ++d)
+    if (cp[d] != cq[d]) order.push_back(static_cast<i32>(d));
   // Fisher-Yates shuffle of the correction order.
   for (std::size_t i = order.size(); i > 1; --i) {
     const std::size_t j = static_cast<std::size_t>(rng.below(i));
@@ -108,9 +120,8 @@ Path UdrRouter::sample_path(const Torus& torus, NodeId p, NodeId q,
   }
   SmallVec<i32> dirs(order.size(), 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const auto options =
-        allowed_dirs(torus, order[i], torus.coord_of(p, order[i]),
-                     torus.coord_of(q, order[i]), tie_);
+    const auto di = static_cast<std::size_t>(order[i]);
+    const auto options = allowed_dirs(torus, order[i], cp[di], cq[di], tie_);
     dirs[i] = options.size() == 1
                   ? options[0]
                   : options[static_cast<std::size_t>(rng.below(2))];

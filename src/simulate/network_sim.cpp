@@ -1,15 +1,15 @@
 #include "src/simulate/network_sim.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <optional>
-#include <tuple>
 
 #include "src/obs/obs.h"
 #include "src/routing/fault_router.h"
 #include "src/util/error.h"
+#include "src/util/small_vec.h"
 
 namespace tp {
 
@@ -32,15 +32,42 @@ NetworkSim::NetworkSim(const Torus& torus, const EdgeSet* faults,
   }
 }
 
+namespace {
+
+/// Fills tail[e]/head[e] for every directed link by stride arithmetic:
+/// the nodes are walked in id order with an odometer over their
+/// coordinates (last dimension fastest), so no id is ever divided.
+void link_endpoints(const Torus& torus, std::vector<NodeId>& tail,
+                    std::vector<NodeId>& head) {
+  const std::size_t d = static_cast<std::size_t>(torus.dims());
+  tail.resize(static_cast<std::size_t>(torus.num_directed_edges()));
+  head.resize(tail.size());
+  SmallVec<i64> radix(d, 0);
+  SmallVec<i64> stride(d, 0);
+  for (std::size_t i = 0; i < d; ++i) {
+    radix[i] = torus.radix(static_cast<i32>(i));
+    stride[i] = torus.stride(static_cast<i32>(i));
+  }
+  SmallVec<i64> c(d, 0);
+  std::size_t e = 0;
+  for (NodeId node = 0; node < torus.num_nodes(); ++node) {
+    for (std::size_t i = 0; i < d; ++i, e += 2) {
+      const i64 wrap = (radix[i] - 1) * stride[i];
+      tail[e] = tail[e + 1] = node;
+      head[e] = c[i] == radix[i] - 1 ? node - wrap : node + stride[i];
+      head[e + 1] = c[i] == 0 ? node + wrap : node - stride[i];
+    }
+    for (std::size_t i = d; i-- > 0;) {
+      if (++c[i] < radix[i]) break;
+      c[i] = 0;
+    }
+  }
+}
+
+}  // namespace
+
 SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
                            i64 max_cycles) {
-  struct MsgState {
-    const SimMessage* msg = nullptr;
-    const Path* path = nullptr;  ///< current path (original or reroute)
-    std::size_t hop = 0;
-    i64 attempts = 0;  ///< backoff waits consumed so far
-  };
-
   TP_OBS_SCOPE("sim.run");
   obs::MetricsRegistry& reg = obs::registry();
   const bool obs_on = reg.enabled();
@@ -65,8 +92,7 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
   std::optional<FaultClock> clock;
   std::optional<FaultTolerantRouter> live_router;
   std::optional<Xoshiro256SS> reroute_rng;
-  std::deque<Path> reroutes;  // owned replacement paths; deque = stable ptrs
-  std::multimap<i64, MsgState> retry_queue;
+  std::multimap<i64, std::size_t> retry_queue;  // wake cycle -> message
   if (dynamic) {
     clock.emplace(torus_, *config_.recovery.schedule,
                   has_faults_ ? &faults_ : nullptr);
@@ -77,28 +103,57 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
 
   SimMetrics metrics;
   metrics.flits_per_message = config_.flits_per_message;
-  metrics.link_forwards.assign(
-      static_cast<std::size_t>(torus_.num_directed_edges()), 0);
+  const std::size_t num_links =
+      static_cast<std::size_t>(torus_.num_directed_edges());
+  metrics.link_forwards.assign(num_links, 0);
 
-  // Sort injections by cycle (stable: FIFO among same-cycle injections).
-  std::vector<const SimMessage*> by_inject;
-  by_inject.reserve(messages.size());
-  i64 total_work = 0;
+  // Per-message state, indexed like `messages`.  A message's remaining
+  // route is arena[pos, end): prepare copies every path into the arena,
+  // and a reroute appends a fresh range and points the message at it.
+  const std::size_t n = messages.size();
+  std::vector<EdgeId> arena;
+  std::vector<std::size_t> pos(n, 0);
+  std::vector<std::size_t> end(n, 0);
+  std::vector<i64> attempts(dynamic ? n : 0, 0);  ///< backoff waits so far
+  // Injection order: by cycle, stable (FIFO among same-cycle injections).
+  std::vector<std::size_t> order(n, 0);
+  std::vector<NodeId> tail;
+  std::vector<NodeId> head;
   i64 last_inject = 0;
   {
     TP_PROF_PHASE("sim.prepare");
-    for (const SimMessage& m : messages) {
+    // Every path is checked against the link tables, exactly as
+    // Path::verify_connected would: ids in range, consecutive links
+    // meeting head to tail, the last one entering the target.
+    link_endpoints(torus_, tail, head);
+    std::size_t hops = 0;
+    for (const SimMessage& m : messages) hops += m.path.edges.size();
+    arena.reserve(hops);
+    for (std::size_t i = 0; i < n; ++i) {
+      const SimMessage& m = messages[i];
       TP_REQUIRE(m.inject_cycle >= 0, "negative injection cycle");
-      m.path.verify_connected(torus_);
-      by_inject.push_back(&m);
-      total_work += m.path.length();
+      pos[i] = arena.size();
+      NodeId at = m.path.source;
+      for (const EdgeId e : m.path.edges) {
+        TP_REQUIRE(e >= 0 && static_cast<std::size_t>(e) < num_links,
+                   "edge id out of range");
+        TP_REQUIRE(tail[static_cast<std::size_t>(e)] == at,
+                   "path edges are not contiguous");
+        at = head[static_cast<std::size_t>(e)];
+        arena.push_back(e);
+      }
+      TP_REQUIRE(at == m.path.target, "path does not end at its target");
+      end[i] = arena.size();
+      order[i] = i;
       last_inject = std::max(last_inject, m.inject_cycle);
     }
-    std::stable_sort(by_inject.begin(), by_inject.end(),
-                     [](const SimMessage* a, const SimMessage* b) {
-                       return a->inject_cycle < b->inject_cycle;
-                     });
+    const auto by_cycle = [&](std::size_t a, std::size_t b) {
+      return messages[a].inject_cycle < messages[b].inject_cycle;
+    };
+    if (!std::is_sorted(order.begin(), order.end(), by_cycle))
+      std::stable_sort(order.begin(), order.end(), by_cycle);
   }
+  const i64 total_work = static_cast<i64>(arena.size());
   const i64 flits = config_.flits_per_message;
   if (max_cycles == 0) {
     max_cycles = total_work * flits + last_inject + 2;
@@ -113,49 +168,73 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
     }
   }
 
-  std::vector<std::deque<MsgState>> queue(
-      static_cast<std::size_t>(torus_.num_directed_edges()));
+  // Each link's FIFO is an intrusive list threaded through next[]: a
+  // message sits in at most one queue at a time.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  struct LinkState {
+    std::size_t first = kNone;  ///< queue front (message index)
+    std::size_t last = kNone;   ///< queue back
+    i64 size = 0;
+    i64 busy_until = 0;  ///< cycle the current transmission completes
+    bool active = false;  ///< listed in `active`
+  };
+  std::vector<LinkState> links(num_links);
+  std::vector<std::size_t> next(n, kNone);
   std::vector<EdgeId> active;
-  std::vector<bool> is_active(
-      static_cast<std::size_t>(torus_.num_directed_edges()), false);
   i64 cycle = 0;
   i64 in_flight = 0;
-  auto enqueue = [&](EdgeId e, MsgState s) {
-    queue[static_cast<std::size_t>(e)].push_back(s);
-    const i64 depth =
-        static_cast<i64>(queue[static_cast<std::size_t>(e)].size());
+  auto enqueue = [&](EdgeId e, std::size_t m) {
+    LinkState& link = links[static_cast<std::size_t>(e)];
+    next[m] = kNone;
+    if (link.last == kNone)
+      link.first = m;
+    else
+      next[link.last] = m;
+    link.last = m;
+    const i64 depth = ++link.size;
     metrics.max_queue_depth = std::max(metrics.max_queue_depth, depth);
     if (obs_on) reg.record(h_qdepth, depth);
     if (probe != nullptr) probe->on_queue_depth(e, cycle, depth);
-    if (!is_active[static_cast<std::size_t>(e)]) {
-      is_active[static_cast<std::size_t>(e)] = true;
+    if (!link.active) {
+      link.active = true;
       active.push_back(e);
     }
+  };
+  auto dequeue = [&](LinkState& link) {
+    const std::size_t m = link.first;
+    link.first = next[m];
+    if (link.first == kNone) link.last = kNone;
+    --link.size;
+    return m;
   };
 
   // A message whose next hop is dead waits out an exponential backoff,
   // then (re)samples a fault-free path; the retry budget bounds the loop.
-  auto schedule_retry = [&](MsgState s) {
-    if (s.attempts >= config_.recovery.max_retries) {
+  auto schedule_retry = [&](std::size_t m) {
+    if (attempts[m] >= config_.recovery.max_retries) {
       ++metrics.dropped;
       --in_flight;
       if (trace_on) tr.instant("sim.drop", "fault");
       return;
     }
     const i64 wait = config_.recovery.backoff_base
-                     << std::min<i64>(s.attempts, 20);
-    ++s.attempts;
+                     << std::min<i64>(attempts[m], 20);
+    ++attempts[m];
     ++metrics.retries;
     if (trace_on) tr.instant("sim.retry", "fault");
-    retry_queue.emplace(cycle + wait, s);
+    retry_queue.emplace(cycle + wait, m);
   };
 
-  std::vector<i64> busy_until(
-      static_cast<std::size_t>(torus_.num_directed_edges()), 0);
   std::size_t next_inject = 0;
   double latency_sum = 0.0;
-  // Messages in transit across a link, arriving at (cycle + flits).
-  std::deque<std::tuple<i64, EdgeId, MsgState>> in_transit;
+  // Messages in transit across a link, in arrival order (every traversal
+  // takes `flits` cycles), read from `transit_read` on.
+  struct Transit {
+    i64 arrive = 0;
+    std::size_t msg = 0;
+  };
+  std::vector<Transit> in_transit;
+  std::size_t transit_read = 0;
 
   // Per-window counter-track samples for the trace timeline.
   constexpr i64 kCounterWindow = 64;
@@ -167,7 +246,7 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
   bool draining = false;
 
   TP_PROF_PHASE("sim.cycles");
-  while (next_inject < by_inject.size() || in_flight > 0) {
+  while (next_inject < n || in_flight > 0) {
     TP_REQUIRE(cycle <= max_cycles, "simulation exceeded cycle budget");
     const i64 injected_before = metrics.injected;
     const i64 delivered_before = metrics.delivered;
@@ -176,23 +255,31 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
       tr.instant("sim.fault_event", "fault");
       tr.counter("sim.dead_wires", clock->dead_wires(), "sim");
     }
-    // Land messages whose link traversal completes now.
-    while (!in_transit.empty() && std::get<0>(in_transit.front()) <= cycle) {
-      const EdgeId e = std::get<1>(in_transit.front());
-      const MsgState s = std::get<2>(in_transit.front());
-      in_transit.pop_front();
-      enqueue(e, s);
+    // Land messages whose link traversal completes now; each joins the
+    // queue of its next hop.
+    while (transit_read < in_transit.size() &&
+           in_transit[transit_read].arrive <= cycle) {
+      const std::size_t m = in_transit[transit_read++].msg;
+      enqueue(arena[pos[m]], m);
+    }
+    if (transit_read == in_transit.size()) {
+      in_transit.clear();
+      transit_read = 0;
+    } else if (2 * transit_read > in_transit.size()) {
+      in_transit.erase(in_transit.begin(),
+                       in_transit.begin() +
+                           static_cast<std::ptrdiff_t>(transit_read));
+      transit_read = 0;
     }
     // Wake messages whose backoff expired: reroute from where they sit,
     // against the live fault set, or back off again.
     while (dynamic && !retry_queue.empty() &&
            retry_queue.begin()->first <= cycle) {
-      MsgState s = retry_queue.begin()->second;
+      const std::size_t m = retry_queue.begin()->second;
       retry_queue.erase(retry_queue.begin());
-      const NodeId at = s.hop == 0
-                            ? s.path->source
-                            : torus_.link(s.path->edges[s.hop - 1]).head;
-      const NodeId dst = s.path->target;
+      // A backed-off message waits in front of its (dead) next hop.
+      const NodeId at = tail[static_cast<std::size_t>(arena[pos[m]])];
+      const NodeId dst = messages[m].path.target;
       NodeId from = at;
       if (live_router->num_paths(torus_, at, dst) == 0) {
         // Cornered: no fault-free path from where the message sits, but
@@ -200,47 +287,43 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
         // retransmission from the original source.  A pair is dropped
         // only once its source-to-target path set is (still) dead when
         // the budget runs out.
-        from = s.msg->path.source;
+        from = messages[m].path.source;
         if (from == at || live_router->num_paths(torus_, from, dst) == 0) {
-          schedule_retry(s);
+          schedule_retry(m);
           continue;
         }
       }
-      reroutes.push_back(
-          live_router->sample_path(torus_, from, dst, *reroute_rng));
-      s.path = &reroutes.back();
-      s.hop = 0;
+      const Path fresh =
+          live_router->sample_path(torus_, from, dst, *reroute_rng);
+      pos[m] = arena.size();
+      arena.insert(arena.end(), fresh.edges.begin(), fresh.edges.end());
+      end[m] = arena.size();
       ++metrics.rerouted;
       if (trace_on) tr.instant("sim.reroute", "fault");
-      enqueue(s.path->edges.front(), s);
+      enqueue(arena[pos[m]], m);
     }
     // Inject this cycle's messages.
-    while (next_inject < by_inject.size() &&
-           by_inject[next_inject]->inject_cycle == cycle) {
-      const SimMessage* m = by_inject[next_inject++];
+    while (next_inject < n &&
+           messages[order[next_inject]].inject_cycle == cycle) {
+      const std::size_t m = order[next_inject++];
       ++metrics.injected;
-      if (m->path.edges.empty()) {
+      if (pos[m] == end[m]) {
         ++metrics.delivered;  // self-delivery (not generated normally)
         continue;
       }
       // With dynamic recovery the static pre-check is skipped: a blocked
       // hop is discovered at forward time and rerouted, not dropped.
-      if (!dynamic && has_faults_) {
-        bool routable = true;
-        for (EdgeId e : m->path.edges)
-          if (faults_.contains(e)) {
-            routable = false;
-            break;
-          }
-        if (!routable) {
-          ++metrics.unroutable;
-          continue;
-        }
+      if (!dynamic && has_faults_ &&
+          std::any_of(arena.begin() + static_cast<std::ptrdiff_t>(pos[m]),
+                      arena.begin() + static_cast<std::ptrdiff_t>(end[m]),
+                      [&](EdgeId e) { return faults_.contains(e); })) {
+        ++metrics.unroutable;
+        continue;
       }
-      enqueue(m->path.edges.front(), MsgState{m, &m->path, 0, 0});
+      enqueue(arena[pos[m]], m);
       ++in_flight;
     }
-    if (trace_on && !draining && next_inject == by_inject.size()) {
+    if (trace_on && !draining && next_inject == n) {
       tr.end("sim.inject");
       tr.begin("sim.drain", "sim");
       draining = true;
@@ -250,9 +333,9 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
     // completes `flits` cycles later.
     for (std::size_t ai = 0; ai < active.size();) {
       const EdgeId e = active[ai];
-      auto& q = queue[static_cast<std::size_t>(e)];
-      if (q.empty()) {
-        is_active[static_cast<std::size_t>(e)] = false;
+      LinkState& link = links[static_cast<std::size_t>(e)];
+      if (link.size == 0) {
+        link.active = false;
         active[ai] = active.back();
         active.pop_back();
         continue;
@@ -260,40 +343,34 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
       if (dynamic && clock->is_dead(e)) {
         // The wire died with a backlog: every queued message backs off and
         // reroutes (an in-progress transmission already left the wire).
-        while (!q.empty()) {
-          schedule_retry(q.front());
-          q.pop_front();
-        }
-        is_active[static_cast<std::size_t>(e)] = false;
+        while (link.size > 0) schedule_retry(dequeue(link));
+        link.active = false;
         active[ai] = active.back();
         active.pop_back();
         continue;
       }
-      if (busy_until[static_cast<std::size_t>(e)] > cycle) {
+      if (link.busy_until > cycle) {
         // Still transmitting an earlier message: everything queued here
         // waits the cycle out.
-        if (probe != nullptr)
-          probe->on_stall(e, cycle, static_cast<i64>(q.size()));
+        if (probe != nullptr) probe->on_stall(e, cycle, link.size);
         ++ai;
         continue;
       }
-      MsgState s = q.front();
-      q.pop_front();
-      busy_until[static_cast<std::size_t>(e)] = cycle + flits;
+      const std::size_t m = dequeue(link);
+      link.busy_until = cycle + flits;
       ++metrics.link_forwards[static_cast<std::size_t>(e)];
       if (probe != nullptr) probe->on_forward(e, cycle, flits);
       ++window_forwards;
-      ++s.hop;
-      if (s.hop == s.path->edges.size()) {
+      if (++pos[m] == end[m]) {
         ++metrics.delivered;
         --in_flight;
-        const i64 latency = cycle + flits - s.msg->inject_cycle;
+        const i64 latency = cycle + flits - messages[m].inject_cycle;
         latency_sum += static_cast<double>(latency);
         metrics.latency.record(latency);
         if (obs_on) reg.record(h_latency, latency);
         metrics.cycles = std::max(metrics.cycles, cycle + flits);
       } else {
-        in_transit.emplace_back(cycle + flits, s.path->edges[s.hop], s);
+        in_transit.push_back(Transit{cycle + flits, m});
       }
       ++ai;
     }
@@ -312,14 +389,14 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
     ++cycle;
     // Nothing moving and nothing in transit: jump to the next injection
     // or retry wake instead of spinning through backoff waits.
-    if (dynamic && active.empty() && in_transit.empty()) {
-      i64 next = std::numeric_limits<i64>::max();
-      if (next_inject < by_inject.size())
-        next = by_inject[next_inject]->inject_cycle;
+    if (dynamic && active.empty() && transit_read == in_transit.size()) {
+      i64 next_wake = std::numeric_limits<i64>::max();
+      if (next_inject < n)
+        next_wake = messages[order[next_inject]].inject_cycle;
       if (!retry_queue.empty())
-        next = std::min(next, retry_queue.begin()->first);
-      if (next != std::numeric_limits<i64>::max() && next > cycle)
-        cycle = next;
+        next_wake = std::min(next_wake, retry_queue.begin()->first);
+      if (next_wake != std::numeric_limits<i64>::max() && next_wake > cycle)
+        cycle = next_wake;
     }
   }
   if (trace_on) {

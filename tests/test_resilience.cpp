@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,9 @@
 #include "src/routing/udr.h"
 #include "src/simulate/fault.h"
 #include "src/simulate/fault_schedule.h"
+#include "src/simulate/traffic.h"
 #include "src/util/error.h"
+#include "tests/reference_network_sim.h"
 
 namespace tp {
 namespace {
@@ -198,6 +201,132 @@ TEST(Resilience, UdrSurvivesWhereOdrDegrades) {
   EXPECT_LT(odr_rank.front().delivered_fraction, 1.0);
 }
 
+// The fault window as the analysis was first composed: the fault-free
+// makespan of a fresh traffic draw, simulated by the reference.
+i64 reference_horizon(const Torus& t, const Placement& p, const Router& router,
+                      const ResilienceConfig& config) {
+  const TrafficResult traffic =
+      complete_exchange_traffic(t, p, router, config.traffic_seed);
+  return std::max<i64>(
+      testing_ref::reference_run(t, nullptr, {}, traffic.messages).cycles, 1);
+}
+
+// The report as the analysis was first composed: a fresh traffic draw and
+// a fresh fault-free run per report, both simulated by the deque-based
+// reference, with E_max read from link probes.
+DegradationReport reference_report(const Torus& t, const Placement& p,
+                                   const Router& router,
+                                   const FaultSchedule& schedule,
+                                   const ResilienceConfig& config) {
+  const TrafficResult traffic =
+      complete_exchange_traffic(t, p, router, config.traffic_seed);
+  auto probe_emax = [](const obs::LinkProbe& probe) {
+    i64 best = 0;
+    for (const obs::LinkCounters& c : probe.links())
+      best = std::max(best, c.forwards);
+    return static_cast<double>(best);
+  };
+  obs::LinkProbe base_probe(t.num_directed_edges(), t.dims());
+  SimConfig base_config;
+  base_config.probe = &base_probe;
+  const SimMetrics base =
+      testing_ref::reference_run(t, nullptr, base_config, traffic.messages);
+  obs::LinkProbe deg_probe(t.num_directed_edges(), t.dims());
+  SimConfig deg_config;
+  deg_config.probe = &deg_probe;
+  deg_config.recovery.schedule = &schedule;
+  deg_config.recovery.reroute_router = &router;
+  deg_config.recovery.max_retries = config.max_retries;
+  deg_config.recovery.backoff_base = config.backoff_base;
+  deg_config.recovery.seed = config.recovery_seed;
+  const SimMetrics deg =
+      testing_ref::reference_run(t, nullptr, deg_config, traffic.messages);
+
+  DegradationReport r;
+  r.router_name = router.name();
+  r.injected = deg.injected;
+  r.delivered = deg.delivered;
+  r.dropped = deg.dropped;
+  r.retries = deg.retries;
+  r.rerouted = deg.rerouted;
+  r.fail_events = deg.fail_events;
+  r.repair_events = deg.repair_events;
+  r.delivered_fraction =
+      deg.injected > 0 ? static_cast<double>(deg.delivered) /
+                             static_cast<double>(deg.injected)
+                       : 1.0;
+  r.baseline_cycles = base.cycles;
+  r.cycles = deg.cycles;
+  r.completion_inflation =
+      base.cycles > 0 ? static_cast<double>(deg.cycles) /
+                            static_cast<double>(base.cycles)
+                      : 1.0;
+  r.baseline_emax = probe_emax(base_probe);
+  r.degraded_emax = probe_emax(deg_probe);
+  r.emax_inflation =
+      r.baseline_emax > 0.0 ? r.degraded_emax / r.baseline_emax : 1.0;
+  return r;
+}
+
+// resilience_sweep shares one traffic draw and one fault-free baseline
+// across its rates; the curve must equal, byte for byte, both the
+// per-rate composition of the public calls and the reference report.
+TEST(Resilience, SweepEqualsThePerRateComposition) {
+  Torus t(2, 6);
+  const Placement p = multiple_linear_placement(t, 2);
+  OdrRouter odr;
+  UdrRouter udr;
+  AdaptiveMinimalRouter adaptive;
+  ResilienceConfig config;
+  config.traffic_seed = 7;
+  config.schedule_seed = 19;
+  config.recovery_seed = 28;
+  config.repair_prob = 0.3;
+  const std::vector<double> rates{0.0, 0.002, 0.01, 0.05};
+  for (const Router* router :
+       {static_cast<const Router*>(&odr), static_cast<const Router*>(&udr),
+        static_cast<const Router*>(&adaptive)}) {
+    const std::vector<DegradationReport> curve =
+        resilience_sweep(t, p, *router, rates, config);
+    ASSERT_EQ(curve.size(), rates.size());
+    const i64 horizon = resilience_horizon(t, p, *router, config);
+    const i64 ref_horizon = reference_horizon(t, p, *router, config);
+    i64 rerouted = 0;
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      const FaultSchedule schedule = FaultSchedule::bernoulli(
+          t, rates[i], config.repair_prob, horizon, config.schedule_seed);
+      DegradationReport composed =
+          degradation_report(t, p, *router, schedule, config);
+      composed.fault_rate = rates[i];
+      const FaultSchedule ref_schedule = FaultSchedule::bernoulli(
+          t, rates[i], config.repair_prob, ref_horizon, config.schedule_seed);
+      DegradationReport reference =
+          reference_report(t, p, *router, ref_schedule, config);
+      reference.fault_rate = rates[i];
+      EXPECT_EQ(encode_degradation_report(curve[i]),
+                encode_degradation_report(composed))
+          << router->name() << " rate " << rates[i];
+      EXPECT_EQ(encode_degradation_report(curve[i]),
+                encode_degradation_report(reference))
+          << router->name() << " rate " << rates[i];
+      rerouted += curve[i].rerouted;
+    }
+    EXPECT_GT(rerouted, 0) << router->name();
+  }
+}
+
+TEST(Resilience, ExplicitHorizonOverridesTheMakespan) {
+  Torus t(2, 4);
+  const Placement p = linear_placement(t);
+  UdrRouter udr;
+  ResilienceConfig config;
+  EXPECT_EQ(exchange_baseline(t, p, udr, config).horizon,
+            exchange_baseline(t, p, udr, config).metrics.cycles);
+  config.horizon = 3;
+  EXPECT_EQ(resilience_horizon(t, p, udr, config), 3);
+  EXPECT_EQ(exchange_baseline(t, p, udr, config).horizon, 3);
+}
+
 TEST(Resilience, Validation) {
   Torus t(2, 4);
   const Placement p = linear_placement(t);
@@ -205,6 +334,7 @@ TEST(Resilience, Validation) {
   UdrRouter udr;
   const FaultSchedule empty;
   EXPECT_THROW(degradation_report(t, single, udr, empty), Error);
+  EXPECT_THROW(exchange_baseline(t, single, udr), Error);
   EXPECT_THROW(resilience_sweep(t, p, udr, {}), Error);
   EXPECT_THROW(resilience_sweep(t, p, udr, {1.5}), Error);
   EXPECT_THROW(resilience_sweep(t, p, udr, {-0.1}), Error);

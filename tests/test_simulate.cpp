@@ -7,12 +7,16 @@
 
 #include "src/routing/fault_router.h"
 #include "src/load/complete_exchange.h"
+#include "src/obs/linkprobe.h"
 #include "src/placement/placement.h"
+#include "src/routing/adaptive.h"
 #include "src/routing/odr.h"
 #include "src/routing/udr.h"
 #include "src/simulate/fault.h"
+#include "src/simulate/fault_schedule.h"
 #include "src/simulate/network_sim.h"
 #include "src/simulate/traffic.h"
+#include "tests/reference_network_sim.h"
 
 namespace tp {
 namespace {
@@ -280,6 +284,219 @@ TEST(NetworkSim, BottleneckUtilizationIsHighUnderCompleteExchange) {
   const SimMetrics metrics = sim.run(traffic.messages);
   EXPECT_GT(metrics.bottleneck_utilization(), 0.3);
   EXPECT_LE(metrics.bottleneck_utilization(), 1.0);
+}
+
+// --- differential: NetworkSim against the deque-based reference ---------
+//
+// tests/reference_network_sim.h keeps the direct formulation of the model
+// (a deque per link, Path pointers, per-message verify_connected).  Every
+// observable of a run must match it exactly: the SimMetrics fields, the
+// per-link forward counts, the latency histogram and, with a probe
+// attached, every per-link counter and windowed series.
+
+void expect_same_metrics(const SimMetrics& a, const SimMetrics& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.injected, b.injected);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.unroutable, b.unroutable);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.rerouted, b.rerouted);
+  EXPECT_EQ(a.fail_events, b.fail_events);
+  EXPECT_EQ(a.repair_events, b.repair_events);
+  EXPECT_EQ(a.flits_per_message, b.flits_per_message);
+  EXPECT_EQ(a.mean_latency, b.mean_latency);  // same sum, same order
+  EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+  EXPECT_EQ(a.max_link_forwards, b.max_link_forwards);
+  EXPECT_EQ(a.link_forwards, b.link_forwards);
+  EXPECT_EQ(a.latency.bounds, b.latency.bounds);
+  EXPECT_EQ(a.latency.counts, b.latency.counts);
+  EXPECT_EQ(a.latency.count, b.latency.count);
+  EXPECT_EQ(a.latency.sum, b.latency.sum);
+  EXPECT_EQ(a.latency.min, b.latency.min);
+  EXPECT_EQ(a.latency.max, b.latency.max);
+}
+
+void expect_same_series(const obs::TimeSeries& a, const obs::TimeSeries& b) {
+  ASSERT_EQ(a.num_windows(), b.num_windows());
+  EXPECT_EQ(a.window_width(), b.window_width());
+  for (std::size_t i = 0; i < a.num_windows(); ++i) {
+    EXPECT_EQ(a.window(i).count, b.window(i).count) << "window " << i;
+    EXPECT_EQ(a.window(i).sum, b.window(i).sum) << "window " << i;
+    EXPECT_EQ(a.window(i).min, b.window(i).min) << "window " << i;
+    EXPECT_EQ(a.window(i).max, b.window(i).max) << "window " << i;
+  }
+}
+
+void expect_same_probe(const obs::LinkProbe& a, const obs::LinkProbe& b) {
+  ASSERT_EQ(a.links().size(), b.links().size());
+  for (std::size_t i = 0; i < a.links().size(); ++i) {
+    EXPECT_EQ(a.links()[i].forwards, b.links()[i].forwards) << "link " << i;
+    EXPECT_EQ(a.links()[i].busy_cycles, b.links()[i].busy_cycles)
+        << "link " << i;
+    EXPECT_EQ(a.links()[i].peak_queue, b.links()[i].peak_queue)
+        << "link " << i;
+    EXPECT_EQ(a.links()[i].stalls, b.links()[i].stalls) << "link " << i;
+  }
+  expect_same_series(a.forwards_series(), b.forwards_series());
+  expect_same_series(a.queue_series(), b.queue_series());
+  expect_same_series(a.stall_series(), b.stall_series());
+}
+
+/// Runs `msgs` through NetworkSim and the reference, with and without a
+/// link probe, and requires identical results; returns NetworkSim's.
+SimMetrics expect_matches_reference(const Torus& t, const EdgeSet* faults,
+                                    SimConfig config,
+                                    const std::vector<SimMessage>& msgs) {
+  config.probe = nullptr;
+  const SimMetrics plain = NetworkSim(t, faults, config).run(msgs);
+  expect_same_metrics(plain,
+                      testing_ref::reference_run(t, faults, config, msgs));
+
+  obs::LinkProbe probe(t.num_directed_edges(), t.dims());
+  obs::LinkProbe ref_probe(t.num_directed_edges(), t.dims());
+  config.probe = &probe;
+  const SimMetrics probed = NetworkSim(t, faults, config).run(msgs);
+  config.probe = &ref_probe;
+  expect_same_metrics(probed,
+                      testing_ref::reference_run(t, faults, config, msgs));
+  expect_same_probe(probe, ref_probe);
+  expect_same_metrics(plain, probed);
+  return plain;
+}
+
+TEST(NetworkSimDifferential, CompleteExchangeUnderEveryRouter) {
+  Torus t(3, 4);
+  const Placement p = multiple_linear_placement(t, 2);
+  OdrRouter odr;
+  UdrRouter udr;
+  AdaptiveMinimalRouter adaptive;
+  for (const Router* router :
+       {static_cast<const Router*>(&odr), static_cast<const Router*>(&udr),
+        static_cast<const Router*>(&adaptive)}) {
+    const auto traffic = complete_exchange_traffic(t, p, *router, 13);
+    const SimMetrics m =
+        expect_matches_reference(t, nullptr, {}, traffic.messages);
+    EXPECT_EQ(m.delivered, static_cast<i64>(traffic.messages.size()))
+        << router->name();
+  }
+}
+
+TEST(NetworkSimDifferential, UnsortedMultiCycleInjections) {
+  // Two saturating open-loop draws over 30 cycles, merged and shuffled so
+  // the simulator's stable injection sort has real work: a source often
+  // injects twice in one cycle onto the same first link, and same-cycle
+  // messages must keep their relative input order.
+  Torus t(2, 6);
+  const Placement p = multiple_linear_placement(t, 2);
+  UdrRouter udr;
+  auto msgs = random_rate_traffic(t, p, udr, 0.9, 30, 3).messages;
+  for (SimMessage& m : random_rate_traffic(t, p, udr, 0.9, 30, 4).messages)
+    msgs.push_back(std::move(m));
+  Xoshiro256SS rng(17);
+  for (std::size_t i = msgs.size(); i > 1; --i)
+    std::swap(msgs[i - 1], msgs[static_cast<std::size_t>(rng.below(i))]);
+  const SimMetrics m = expect_matches_reference(t, nullptr, {}, msgs);
+  EXPECT_EQ(m.delivered, static_cast<i64>(msgs.size()));
+  EXPECT_GT(m.max_queue_depth, 2);
+}
+
+TEST(NetworkSimDifferential, StaticFaultsAndSelfDelivery) {
+  // Paths drawn without the fault set, so some cross a dead link and are
+  // counted unroutable; one empty self-path is delivered at injection.
+  Torus t(2, 5);
+  const Placement p = linear_placement(t);
+  OdrRouter odr;
+  auto traffic = complete_exchange_traffic(t, p, odr, 2);
+  Path self;
+  self.source = self.target = p.nodes().front();
+  traffic.messages.push_back(SimMessage{self, 3});
+  const EdgeSet faults = sample_wire_faults(t, 4, 9);
+  const SimMetrics m =
+      expect_matches_reference(t, &faults, {}, traffic.messages);
+  EXPECT_GT(m.unroutable, 0);
+  EXPECT_EQ(m.delivered + m.unroutable, m.injected);
+}
+
+TEST(NetworkSimDifferential, MultiFlitMessages) {
+  Torus t(2, 6);
+  const Placement p = multiple_linear_placement(t, 2);
+  UdrRouter udr;
+  const auto traffic = complete_exchange_traffic(t, p, udr, 4);
+  SimConfig config;
+  config.flits_per_message = 3;
+  const SimMetrics m =
+      expect_matches_reference(t, nullptr, config, traffic.messages);
+  EXPECT_EQ(m.flits_per_message, 3);
+}
+
+TEST(NetworkSimDifferential, DynamicFaultsRerouteRetryAndDrop) {
+  // A dense Bernoulli schedule with slow repairs under ODR: messages lose
+  // their next hop mid-path, reroute from where they sit, fall back to a
+  // retransmission from the source when cornered, and with a small retry
+  // budget some are dropped.  Static faults seed the live fault set too.
+  Torus t(2, 6);
+  const Placement p = multiple_linear_placement(t, 2);
+  OdrRouter odr;
+  const auto traffic = complete_exchange_traffic(t, p, odr, 8);
+  const FaultSchedule schedule =
+      FaultSchedule::bernoulli(t, 0.02, 0.05, 30, 21);
+  const EdgeSet faults = sample_wire_faults(t, 1, 5);
+  SimConfig config;
+  config.recovery.schedule = &schedule;
+  config.recovery.reroute_router = &odr;
+  config.recovery.max_retries = 3;
+  config.recovery.seed = 99;
+  const SimMetrics m =
+      expect_matches_reference(t, &faults, config, traffic.messages);
+  EXPECT_GT(m.rerouted, 0);
+  EXPECT_GT(m.retries, m.rerouted);
+  EXPECT_GT(m.dropped, 0);
+  EXPECT_GT(m.repair_events, 0);
+  EXPECT_EQ(m.delivered + m.dropped, m.injected);
+}
+
+TEST(NetworkSimDifferential, DynamicFaultsWithMultiFlitUdr) {
+  Torus t(2, 5);
+  const Placement p = linear_placement(t);
+  UdrRouter udr;
+  const auto traffic = complete_exchange_traffic(t, p, udr, 6);
+  const FaultSchedule schedule =
+      FaultSchedule::bernoulli(t, 0.01, 0.2, 40, 4);
+  SimConfig config;
+  config.flits_per_message = 2;
+  config.recovery.schedule = &schedule;
+  config.recovery.reroute_router = &udr;
+  const SimMetrics m =
+      expect_matches_reference(t, nullptr, config, traffic.messages);
+  EXPECT_GT(m.rerouted, 0);
+}
+
+TEST(NetworkSim, RejectsMalformedPaths) {
+  // prepare checks every path against the link tables with the same three
+  // conditions as Path::verify_connected.
+  Torus t(2, 4);
+  OdrRouter odr;
+  const Path good = odr.canonical_path(t, 0, t.node_id(Coord{1, 2}));
+  NetworkSim sim(t);
+  Path out_of_range = good;
+  out_of_range.edges[1] = t.num_directed_edges();
+  EXPECT_THROW(sim.run({SimMessage{out_of_range, 0}}), Error);
+  Path negative = good;
+  negative.edges[0] = -1;
+  EXPECT_THROW(sim.run({SimMessage{negative, 0}}), Error);
+  Path gap = good;
+  gap.edges.erase(gap.edges.begin() + 1);
+  EXPECT_THROW(sim.run({SimMessage{gap, 0}}), Error);
+  Path short_of_target = good;
+  short_of_target.edges.pop_back();
+  EXPECT_THROW(sim.run({SimMessage{short_of_target, 0}}), Error);
+  Path empty_but_apart;
+  empty_but_apart.source = 0;
+  empty_but_apart.target = 1;
+  EXPECT_THROW(sim.run({SimMessage{empty_but_apart, 0}}), Error);
+  EXPECT_THROW(sim.run({SimMessage{good, -1}}), Error);
+  EXPECT_EQ(sim.run({SimMessage{good, 0}}).delivered, 1);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 //             [--check]
 //
 // Times a fixed set of representative workloads (load analyzers, the
-// cycle-accurate simulators with and without link probes, the hotspot
-// analyzer) with obs::Stopwatch, writes the results as
+// cycle-accurate simulators with and without link probes, the simulate
+// and resilience CLI shapes, the hotspot analyzer) with obs::Stopwatch,
+// writes the results as
 //
 //   {"schema": "torusplace-bench/2",
 //    "benchmarks": {"odr_loads/T8^3": {"mean_ns": ..., "min_ns": ...,
@@ -20,11 +21,12 @@
 // stay diffable against /1 baselines either way, and the counter columns
 // appear in the diff only when both sides carry them.
 //
-// The results are diffed against the most recent prior BENCH_*.json found
-// in --dir (lexicographically latest name other than --out).  A benchmark
-// whose mean regressed by more than --threshold (default 10%) is flagged;
-// --gate overrides the threshold per benchmark (tighter or looser), and
-// with --check the process then exits 2, so CI can gate on it.
+// The results are diffed against the most recent prior BENCH_<n>.json
+// found in --dir (largest number n, other than --out; see
+// tools/bench_baseline.h).  A benchmark whose mean regressed by more
+// than --threshold (default 10%) is flagged; --gate overrides the
+// threshold per benchmark (tighter or looser), and with --check the
+// process then exits 2, so CI can gate on it.
 //
 // Besides the baseline diff, one intra-run invariant is asserted: the
 // load kernel asked for four threads must not lose to one thread on a
@@ -62,6 +64,7 @@
 #include "src/obs/perf_counters.h"
 #include "src/obs/timer.h"
 #include "src/service/service.h"
+#include "tools/bench_baseline.h"
 #include "tools/cli_args.h"
 
 namespace tp {
@@ -194,6 +197,35 @@ std::vector<BenchResult> run_benchmarks(int reps) {
     const LoadMap loads = odr_loads(torus, p);
     results.push_back(time_fn("analyze_imbalance/T8^2", reps, [&] {
       g_sink += analyze_imbalance(torus, loads, 10).cov;
+    }));
+  }
+  {
+    // The simulator shapes the CLI runs: `simulate --d 3 --k 8 --t 2
+    // --router odr` (traffic generation + run) and `resilience --d 2 --k 8
+    // --t 2` (the sweep for all three routers at the default rates).
+    const Torus torus(3, 8);
+    const Placement p = multiple_linear_placement(torus, 2);
+    const OdrRouter odr;
+    results.push_back(time_fn("simulate/T8^3-odr-t2", reps, [&] {
+      const auto traffic = complete_exchange_traffic(torus, p, odr, 7);
+      NetworkSim sim(torus);
+      g_sink += static_cast<double>(sim.run(traffic.messages).cycles);
+    }));
+    const Torus plane(2, 8);
+    const Placement q = multiple_linear_placement(plane, 2);
+    ResilienceConfig config;
+    config.traffic_seed = 7;
+    config.schedule_seed = 19;
+    config.recovery_seed = 28;
+    const std::vector<double> rates = {0, 0.0002, 0.0005, 0.001, 0.002};
+    results.push_back(time_fn("resilience_sweep/T8^2-t2", reps, [&] {
+      for (const RouterKind kind :
+           {RouterKind::Odr, RouterKind::Udr, RouterKind::Adaptive}) {
+        const auto router = make_router(kind);
+        for (const DegradationReport& r :
+             resilience_sweep(plane, q, *router, rates, config))
+          g_sink += r.delivered_fraction;
+      }
     }));
   }
   {
@@ -351,31 +383,6 @@ void write_json(const std::string& path,
   std::ofstream out(path);
   TP_REQUIRE(out.good(), "cannot write " + path);
   out << root.dump() << "\n";
-}
-
-/// Lexicographically latest BENCH_*.json in `dir` other than `out`;
-/// empty when none exists.
-std::string find_baseline(const std::string& dir, const std::string& out) {
-  namespace fs = std::filesystem;
-  std::string best;
-  std::string best_name;  // compare filenames, not paths: "./BENCH_5.json"
-                          // vs "BENCH_6.json" would order on the "./"
-  if (!fs::is_directory(dir)) return best;
-  const std::string out_name = fs::path(out).filename().string();
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("BENCH_", 0) != 0 || name.size() < 6) continue;
-    if (name.size() < 5 ||
-        name.compare(name.size() - 5, 5, ".json") != 0)
-      continue;
-    if (name == out_name) continue;
-    if (name > best_name) {
-      best_name = name;
-      best = entry.path().string();
-    }
-  }
-  return best;
 }
 
 /// "--gate name=frac[,name=frac...]" -> {name: frac}.
@@ -540,7 +547,7 @@ int run(int argc, char** argv) {
   write_json(out, results);
   std::cout << "\nwrote " << out << "\n";
 
-  const std::string baseline = find_baseline(dir, out);
+  const std::string baseline = bench::find_baseline(dir, out);
   int regressions = check_parallel_cutover(results);
   if (baseline.empty()) {
     std::cout << "no prior BENCH_*.json in " << dir << ", nothing to diff\n";

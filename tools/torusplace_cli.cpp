@@ -582,7 +582,7 @@ int cmd_resilience(const Args& args) {
 
   // --checkpoint=dir: one journal cell per (router, rate) plus one per
   // router's derived fault horizon, computed exactly as resilience_sweep
-  // would (resilience_horizon + the same bernoulli schedule), so a
+  // would (one exchange_baseline + the same bernoulli schedule), so a
   // resumed curve is byte-identical to an uninterrupted one.
   std::optional<service::CheckpointJournal> journal;
   const std::string checkpoint_dir = args.get("checkpoint");
@@ -616,7 +616,13 @@ int cmd_resilience(const Args& args) {
     } else {
       // Per-cell replica of resilience_sweep: the horizon derivation is
       // itself a cell (it costs a fault-free simulation), then each rate
-      // is one cell.
+      // is one cell.  The baseline is built once per router, and only
+      // when some cell has to be computed.
+      std::optional<ExchangeBaseline> baseline;
+      auto base = [&]() -> const ExchangeBaseline& {
+        if (!baseline) baseline = exchange_baseline(torus, p, *router, config);
+        return *baseline;
+      };
       const std::string horizon_cell = std::string(router->name()) +
                                        " horizon";
       i64 horizon = 0;
@@ -624,7 +630,7 @@ int cmd_resilience(const Args& args) {
         util::ByteView view(*payload);
         horizon = view.get_i64();
       } else {
-        horizon = resilience_horizon(torus, p, *router, config);
+        horizon = base().horizon;
         util::ByteBuffer buf;
         buf.put_i64(horizon);
         journal->record(horizon_cell, buf.data());
@@ -641,7 +647,7 @@ int cmd_resilience(const Args& args) {
             FaultSchedule::bernoulli(torus, rates[i], config.repair_prob,
                                      horizon, config.schedule_seed);
         DegradationReport r =
-            degradation_report(torus, p, *router, schedule, config);
+            degradation_report(torus, *router, base(), schedule, config);
         r.fault_rate = rates[i];
         journal->record(cell, encode_degradation_report(r));
         ++computed;
