@@ -15,15 +15,6 @@ void add_dep(ChannelGraph& graph, i32 from, i32 to) {
     succ.push_back(to);
 }
 
-/// True when traversing this link crosses the dateline of its ring: the
-/// wrap from coordinate k-1 to 0 (+) or from 0 to k-1 (-).
-bool crosses_dateline(const Torus& torus, const Link& link) {
-  const i32 k = torus.radix(link.dim);
-  const i32 a = torus.coord_of(link.tail, link.dim);
-  return (link.dir == Dir::Pos && a == k - 1) ||
-         (link.dir == Dir::Neg && a == 0);
-}
-
 template <typename ChannelOf>
 ChannelGraph build_graph(const Torus& torus, const Placement& p,
                          const Router& router, i64 num_channels,
@@ -71,6 +62,13 @@ ChannelGraph dateline_channel_graph(const Torus& torus, const Placement& p,
   return build_graph(
       torus, p, router, torus.num_directed_edges() * 2,
       [](EdgeId e, i32 vc) { return static_cast<i32>(e * 2 + vc); });
+}
+
+bool crosses_dateline(const Torus& torus, const Link& link) {
+  const i32 k = torus.radix(link.dim);
+  const i32 a = torus.coord_of(link.tail, link.dim);
+  return (link.dir == Dir::Pos && a == k - 1) ||
+         (link.dir == Dir::Neg && a == 0);
 }
 
 bool has_cycle(const ChannelGraph& graph) {

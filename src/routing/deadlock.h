@@ -39,6 +39,12 @@ struct ChannelGraph {
 ChannelGraph physical_channel_graph(const Torus& torus, const Placement& p,
                                     const Router& router);
 
+/// True when traversing `link` crosses the dateline of its ring: the wrap
+/// from coordinate k-1 to 0 (+) or from 0 to k-1 (-).  The dateline VC
+/// discipline moves a packet from VC0 to VC1 after such a link, both in
+/// dateline_channel_graph and in WormholeSim's VcPolicy::Dateline.
+bool crosses_dateline(const Torus& torus, const Link& link);
+
 /// CDG over dateline virtual channels: channel ids are EdgeId*2 + vc.
 /// A packet starts each ring traversal on VC0 and moves to VC1 after
 /// crossing the dateline wrap (the link from coordinate k-1 to 0 in the +

@@ -1,13 +1,8 @@
 #include "src/simulate/adaptive_sim.h"
 
-#include <algorithm>
-#include <deque>
-#include <limits>
-#include <map>
-#include <optional>
+#include <cstddef>
 
-#include "src/obs/obs.h"
-#include "src/routing/fault_router.h"
+#include "src/simulate/store_forward.h"
 #include "src/util/error.h"
 #include "src/util/small_vec.h"
 
@@ -28,312 +23,148 @@ AdaptiveNetworkSim::AdaptiveNetworkSim(const Torus& torus,
     for (EdgeId e = 0; e < torus.num_directed_edges(); ++e)
       if (faults->contains(e)) faults_.insert(e);
   }
-  if (probe_ != nullptr)
-    TP_REQUIRE(probe_->num_links() == torus.num_directed_edges(),
-               "link probe sized for a different torus");
-  if (recovery_.enabled()) {
-    TP_REQUIRE(recovery_.reroute_router != nullptr,
-               "a dynamic fault schedule needs recovery.reroute_router");
-    TP_REQUIRE(recovery_.max_retries >= 0, "max_retries must be non-negative");
-    TP_REQUIRE(recovery_.backoff_base >= 1, "backoff_base must be >= 1");
-  }
+  check_sim_setup(torus, probe_, recovery_);
 }
 
-SimMetrics AdaptiveNetworkSim::run(const std::vector<Demand>& demands,
-                                   u64 seed, i64 max_cycles) {
-  struct MsgState {
-    NodeId node = 0;
-    NodeId src = 0;  ///< original source (retransmission fallback)
-    NodeId dst = 0;
-    i64 inject_cycle = 0;
-    i64 attempts = 0;  ///< backoff waits consumed so far
-  };
+namespace {
 
-  SimMetrics metrics;
-  metrics.link_forwards.assign(
-      static_cast<std::size_t>(torus_.num_directed_edges()), 0);
+/// Hop-by-hop minimal-adaptive routing: a message at a node joins one of
+/// the live minimal links toward its destination, picked by the policy.
+class MinimalAdaptive {
+ public:
+  MinimalAdaptive(const Torus& torus, AdaptivePolicy policy,
+                  const std::vector<Demand>& demands, const EdgeSet* faults,
+                  u64 seed)
+      : torus_(torus),
+        policy_(policy),
+        demands_(demands),
+        faults_(faults),
+        node_(demands.size(), 0),
+        rng_(seed) {}
 
-  const bool dynamic = recovery_.enabled();
-  std::optional<FaultClock> clock;
-  std::optional<FaultTolerantRouter> oracle;
-  std::multimap<i64, MsgState> retry_queue;
-  if (dynamic) {
-    clock.emplace(torus_, *recovery_.schedule,
-                  has_faults_ ? &faults_ : nullptr);
-    oracle.emplace(*recovery_.reroute_router, clock->dead(),
-                   clock->epoch_ref());
-  }
+  std::size_t size() const { return demands_.size(); }
+  i64 inject_cycle(std::size_t m) const { return demands_[m].inject_cycle; }
 
-  std::vector<const Demand*> by_inject;
-  by_inject.reserve(demands.size());
-  i64 total_work = 0;
-  i64 last_inject = 0;
-  for (const Demand& d : demands) {
-    TP_REQUIRE(torus_.valid_node(d.src) && torus_.valid_node(d.dst),
-               "demand node out of range");
-    TP_REQUIRE(d.inject_cycle >= 0, "negative injection cycle");
-    by_inject.push_back(&d);
-    total_work += torus_.lee_distance(d.src, d.dst);
-    last_inject = std::max(last_inject, d.inject_cycle);
-  }
-  std::stable_sort(by_inject.begin(), by_inject.end(),
-                   [](const Demand* a, const Demand* b) {
-                     return a->inject_cycle < b->inject_cycle;
-                   });
-  if (max_cycles == 0) {
-    max_cycles = total_work + last_inject + 2;
-    if (dynamic) {
-      const i64 cap = recovery_.backoff_base
-                      << std::min<i64>(recovery_.max_retries, 20);
-      max_cycles += recovery_.schedule->last_cycle() +
-                    2 * (recovery_.max_retries + 1) * cap + 2;
+  i64 prepare() {
+    i64 work = 0;
+    for (std::size_t i = 0; i < demands_.size(); ++i) {
+      const Demand& d = demands_[i];
+      TP_REQUIRE(torus_.valid_node(d.src) && torus_.valid_node(d.dst),
+                 "demand node out of range");
+      node_[i] = d.src;
+      work += torus_.lee_distance(d.src, d.dst);
     }
+    return work;
   }
 
-  std::vector<std::deque<MsgState>> queue(
-      static_cast<std::size_t>(torus_.num_directed_edges()));
-  std::vector<EdgeId> active;
-  std::vector<bool> is_active(
-      static_cast<std::size_t>(torus_.num_directed_edges()), false);
-  Xoshiro256SS rng(seed);
+  bool at_target(std::size_t m) const {
+    return demands_[m].src == demands_[m].dst;
+  }
 
-  // Minimal outgoing links from `node` toward `dst`, skipping dead links
-  // (static faults, plus the live dynamic set when a schedule runs).
-  SmallVec<i64, 2 * kMaxDims> candidates;
-  auto link_alive = [&](EdgeId e) {
-    if (has_faults_ && faults_.contains(e)) return false;
-    if (dynamic && clock->is_dead(e)) return false;
-    return true;
-  };
-  auto minimal_links = [&](NodeId node, NodeId dst) {
-    candidates.clear();
+  EdgeId inject(std::size_t m, const detail::SimNet& net) {
+    return pick(m, net);
+  }
+
+  bool cross(std::size_t m, EdgeId e) {
+    node_[m] = torus_.link(e).head;
+    return node_[m] == demands_[m].dst;
+  }
+
+  EdgeId land(std::size_t m, const detail::SimNet& net) {
+    return pick(m, net);
+  }
+
+  /// The node re-routes a dead link's backlog over its other minimal
+  /// links at once (native adaptivity), backing off only when all of them
+  /// are dead too.
+  EdgeId dead_link(std::size_t m, const detail::SimNet& net) {
+    return pick(m, net);
+  }
+
+  /// Tries again from where the message sits; when that node is cut off
+  /// but the pair is still connected end-to-end, retransmits from the
+  /// original source.
+  EdgeId wake(std::size_t m, const detail::SimNet& net) {
+    const EdgeId e = pick(m, net);
+    const Demand& d = demands_[m];
+    if (e != detail::kNoHop || node_[m] == d.src ||
+        net.live->num_paths(torus_, d.src, d.dst) == 0)
+      return e;
+    node_[m] = d.src;
+    return pick(m, net);
+  }
+
+ private:
+  /// The policy's pick among the live minimal links from the message's
+  /// node, or kNoHop when every one of them is dead.
+  EdgeId pick(std::size_t m, const detail::SimNet& net) {
+    const NodeId node = node_[m];
+    const NodeId dst = demands_[m].dst;
+    auto alive = [&](EdgeId e) {
+      if (faults_ != nullptr && faults_->contains(e)) return false;
+      return net.clock == nullptr || !net.clock->is_dead(e);
+    };
+    candidates_.clear();
     for (i32 dim = 0; dim < torus_.dims(); ++dim) {
-      const i32 a = torus_.coord_of(node, dim);
-      const i32 b = torus_.coord_of(dst, dim);
-      const Way way = torus_.shortest_way(dim, a, b);
+      const Way way = torus_.shortest_way(dim, torus_.coord_of(node, dim),
+                                          torus_.coord_of(dst, dim));
       if (way == Way::None) continue;
       if (way != Way::Neg) {
         const EdgeId e = torus_.edge_id(node, dim, Dir::Pos);
-        if (link_alive(e)) candidates.push_back(e);
+        if (alive(e)) candidates_.push_back(e);
       }
       if (way != Way::Pos) {
         const EdgeId e = torus_.edge_id(node, dim, Dir::Neg);
-        if (link_alive(e)) candidates.push_back(e);
+        if (alive(e)) candidates_.push_back(e);
       }
     }
-  };
-
-  obs::Tracer& tr = obs::tracer();
-  const bool trace_on = tr.enabled();
-
-  i64 cycle = 0;
-  i64 in_flight = 0;
-  // Joins the queue the policy picks among the live minimal links; false
-  // when every minimal link is currently dead.
-  auto try_route = [&](MsgState s) -> bool {
-    minimal_links(s.node, s.dst);
-    if (dynamic && clock->dead_wires() > 0 && !candidates.empty()) {
-      // Reachability lookahead: only enter links from whose head the
-      // oracle still sees a fault-free path, so a message never wanders
-      // into a region the live faults cut off from its destination.
+    if (net.clock != nullptr && net.clock->dead_wires() > 0) {
+      // Reachability lookahead: only enter links from whose head a
+      // fault-free path still exists, so a message never wanders into a
+      // region the live faults cut off from its destination.
       std::size_t keep = 0;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const EdgeId e = static_cast<EdgeId>(candidates[i]);
-        const NodeId head = torus_.link(e).head;
-        if (head == s.dst || oracle->num_paths(torus_, head, s.dst) > 0)
-          candidates[keep++] = candidates[i];
+      for (std::size_t i = 0; i < candidates_.size(); ++i) {
+        const NodeId head = torus_.link(candidates_[i]).head;
+        if (head == dst || net.live->num_paths(torus_, head, dst) > 0)
+          candidates_[keep++] = candidates_[i];
       }
-      candidates.resize(keep);
+      candidates_.resize(keep);
     }
-    if (candidates.empty()) return false;
-    EdgeId pick = static_cast<EdgeId>(candidates[0]);
-    if (policy_ == AdaptivePolicy::RandomMinimal) {
-      pick = static_cast<EdgeId>(
-          candidates[static_cast<std::size_t>(rng.below(candidates.size()))]);
-    } else {
-      for (std::size_t i = 1; i < candidates.size(); ++i) {
-        const EdgeId e = static_cast<EdgeId>(candidates[i]);
-        if (queue[static_cast<std::size_t>(e)].size() <
-            queue[static_cast<std::size_t>(pick)].size())
-          pick = e;
-      }
+    if (candidates_.empty()) return detail::kNoHop;
+    if (policy_ == AdaptivePolicy::RandomMinimal)
+      return candidates_[static_cast<std::size_t>(
+          rng_.below(candidates_.size()))];
+    // LeastQueue: the shortest queue, ties to the first candidate.
+    EdgeId best = candidates_[0];
+    for (std::size_t i = 1; i < candidates_.size(); ++i) {
+      const EdgeId e = candidates_[i];
+      if (net.links[static_cast<std::size_t>(e)].size <
+          net.links[static_cast<std::size_t>(best)].size)
+        best = e;
     }
-    queue[static_cast<std::size_t>(pick)].push_back(s);
-    const i64 depth =
-        static_cast<i64>(queue[static_cast<std::size_t>(pick)].size());
-    metrics.max_queue_depth = std::max(metrics.max_queue_depth, depth);
-    if (probe_ != nullptr) probe_->on_queue_depth(pick, cycle, depth);
-    if (!is_active[static_cast<std::size_t>(pick)]) {
-      is_active[static_cast<std::size_t>(pick)] = true;
-      active.push_back(pick);
-    }
-    return true;
-  };
-
-  // Every minimal link is dead right now.  Statically that is terminal
-  // (unroutable); under a dynamic schedule the message waits out a backoff
-  // at its node and retries until the budget is spent.
-  auto handle_blocked = [&](MsgState s) {
-    if (!dynamic) {
-      ++metrics.unroutable;
-      --in_flight;
-      return;
-    }
-    if (s.attempts >= recovery_.max_retries) {
-      ++metrics.dropped;
-      --in_flight;
-      if (trace_on) tr.instant("sim.drop", "fault");
-      return;
-    }
-    const i64 wait = recovery_.backoff_base
-                     << std::min<i64>(s.attempts, 20);
-    ++s.attempts;
-    ++metrics.retries;
-    if (trace_on) tr.instant("sim.retry", "fault");
-    retry_queue.emplace(cycle + wait, s);
-  };
-
-  std::size_t next_inject = 0;
-  double latency_sum = 0.0;
-  std::vector<MsgState> arrivals;
-
-  constexpr i64 kCounterWindow = 64;
-  i64 window_forwards = 0;
-
-  auto outstanding = [&] {
-    return next_inject < by_inject.size() || in_flight > 0;
-  };
-
-  while (outstanding()) {
-    TP_REQUIRE(cycle <= max_cycles, "simulation exceeded cycle budget");
-    if (dynamic && clock->advance_to(cycle) && trace_on) {
-      tr.instant("sim.fault_event", "fault");
-      tr.counter("sim.dead_wires", clock->dead_wires(), "sim");
-    }
-    // Wake messages whose backoff expired.
-    while (dynamic && !retry_queue.empty() &&
-           retry_queue.begin()->first <= cycle) {
-      MsgState s = retry_queue.begin()->second;
-      retry_queue.erase(retry_queue.begin());
-      if (try_route(s)) {
-        ++metrics.rerouted;
-        if (trace_on) tr.instant("sim.reroute", "fault");
-        continue;
-      }
-      // Cut off where it sits but the pair still connected end-to-end:
-      // retransmit from the original source.
-      if (s.node != s.src &&
-          oracle->num_paths(torus_, s.src, s.dst) > 0) {
-        s.node = s.src;
-        if (try_route(s)) {
-          ++metrics.rerouted;
-          if (trace_on) tr.instant("sim.reroute", "fault");
-          continue;
-        }
-      }
-      handle_blocked(s);
-    }
-    while (next_inject < by_inject.size() &&
-           by_inject[next_inject]->inject_cycle == cycle) {
-      const Demand* d = by_inject[next_inject++];
-      ++metrics.injected;
-      if (d->src == d->dst) {
-        ++metrics.delivered;
-        continue;
-      }
-      ++in_flight;
-      MsgState s{d->src, d->src, d->dst, d->inject_cycle, 0};
-      if (!try_route(s)) handle_blocked(s);
-    }
-
-    arrivals.clear();
-    for (std::size_t ai = 0; ai < active.size();) {
-      const EdgeId e = active[ai];
-      auto& q = queue[static_cast<std::size_t>(e)];
-      if (q.empty()) {
-        is_active[static_cast<std::size_t>(e)] = false;
-        active[ai] = active.back();
-        active.pop_back();
-        continue;
-      }
-      if (dynamic && clock->is_dead(e)) {
-        // The wire died with a backlog: the node immediately re-routes
-        // each queued message over its other minimal links (native
-        // adaptivity), backing off only when all of them are dead too.
-        while (!q.empty()) {
-          MsgState s = q.front();
-          q.pop_front();
-          if (!try_route(s)) handle_blocked(s);
-        }
-        is_active[static_cast<std::size_t>(e)] = false;
-        active[ai] = active.back();
-        active.pop_back();
-        continue;
-      }
-      MsgState s = q.front();
-      q.pop_front();
-      ++metrics.link_forwards[static_cast<std::size_t>(e)];
-      if (probe_ != nullptr) {
-        probe_->on_forward(e, cycle);
-        // One message crosses per cycle; the rest of the backlog waits.
-        if (!q.empty())
-          probe_->on_stall(e, cycle, static_cast<i64>(q.size()));
-      }
-      ++window_forwards;
-      s.node = torus_.link(e).head;
-      if (s.node == s.dst) {
-        ++metrics.delivered;
-        --in_flight;
-        latency_sum += static_cast<double>(cycle + 1 - s.inject_cycle);
-        metrics.cycles = std::max(metrics.cycles, cycle + 1);
-      } else {
-        arrivals.push_back(s);
-      }
-      ++ai;
-    }
-    for (const MsgState& s : arrivals)
-      if (!try_route(s)) handle_blocked(s);
-    if (trace_on && cycle % kCounterWindow == kCounterWindow - 1) {
-      tr.counter("sim.forwards_per_window", window_forwards, "sim");
-      tr.counter("sim.active_links", static_cast<i64>(active.size()), "sim");
-      if (dynamic)
-        tr.counter("sim.retries_pending",
-                   static_cast<i64>(retry_queue.size()), "sim");
-      window_forwards = 0;
-    }
-    ++cycle;
-    // Nothing queued anywhere: jump to the next injection or retry wake
-    // instead of spinning through backoff waits.
-    if (dynamic && active.empty()) {
-      i64 next = std::numeric_limits<i64>::max();
-      if (next_inject < by_inject.size())
-        next = by_inject[next_inject]->inject_cycle;
-      if (!retry_queue.empty())
-        next = std::min(next, retry_queue.begin()->first);
-      if (next != std::numeric_limits<i64>::max() && next > cycle)
-        cycle = next;
-    }
-  }
-  if (trace_on) {
-    if (window_forwards > 0)
-      tr.counter("sim.forwards_per_window", window_forwards, "sim");
-    tr.counter("sim.active_links", 0, "sim");
+    return best;
   }
 
-  metrics.max_link_forwards =
-      metrics.link_forwards.empty()
-          ? 0
-          : *std::max_element(metrics.link_forwards.begin(),
-                              metrics.link_forwards.end());
-  metrics.mean_latency =
-      metrics.delivered > 0
-          ? latency_sum / static_cast<double>(metrics.delivered)
-          : 0.0;
-  if (dynamic) {
-    metrics.fail_events = clock->fails_applied();
-    metrics.repair_events = clock->repairs_applied();
-  }
-  return metrics;
+  const Torus& torus_;
+  AdaptivePolicy policy_;
+  const std::vector<Demand>& demands_;
+  const EdgeSet* faults_;
+  std::vector<NodeId> node_;  ///< where each message sits
+  Xoshiro256SS rng_;
+  SmallVec<EdgeId, 2 * kMaxDims> candidates_;
+};
+
+}  // namespace
+
+SimMetrics AdaptiveNetworkSim::run(const std::vector<Demand>& demands,
+                                   u64 seed, i64 max_cycles) {
+  const EdgeSet* faults = has_faults_ ? &faults_ : nullptr;
+  MinimalAdaptive hops(torus_, policy_, demands, faults, seed);
+  SimConfig config;
+  config.probe = probe_;
+  config.recovery = recovery_;
+  return detail::run_store_and_forward(torus_, faults, config, hops,
+                                       max_cycles);
 }
 
 }  // namespace tp

@@ -7,7 +7,9 @@
 // picks.  Because every hop reduces the Lee distance, delivery is
 // guaranteed; because decisions see queue state, congestion is routed
 // around — the natural "more adaptive than UDR" end of the design space
-// the paper's fault-tolerance discussion points toward.
+// the paper's fault-tolerance discussion points toward.  Both simulators
+// run the same store-and-forward cycle loop (store_forward.h); only the
+// hop choice differs.
 
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/obs/linkprobe.h"
 #include "src/util/error.h"
 #include "src/util/prng.h"
 
@@ -164,9 +165,27 @@ bool FaultClock::advance_to(i64 cycle) {
   return changed;
 }
 
-i64 FaultClock::next_event_cycle() const {
-  const auto& events = schedule_.events();
-  return next_ < events.size() ? events[next_].cycle : -1;
+i64 RecoveryConfig::charge_retry(i64& attempts) const {
+  if (attempts >= max_retries) return -1;
+  return backoff_base << std::min<i64>(attempts++, 20);
+}
+
+i64 RecoveryConfig::budget_slack() const {
+  const i64 cap = backoff_base << std::min<i64>(max_retries, 20);
+  return schedule->last_cycle() + 2 * (max_retries + 1) * cap + 2;
+}
+
+void check_sim_setup(const Torus& torus, const obs::LinkProbe* probe,
+                     const RecoveryConfig& recovery) {
+  if (probe != nullptr)
+    TP_REQUIRE(probe->num_links() == torus.num_directed_edges(),
+               "link probe sized for a different torus");
+  if (recovery.enabled()) {
+    TP_REQUIRE(recovery.reroute_router != nullptr,
+               "a dynamic fault schedule needs recovery.reroute_router");
+    TP_REQUIRE(recovery.max_retries >= 0, "max_retries must be non-negative");
+    TP_REQUIRE(recovery.backoff_base >= 1, "backoff_base must be >= 1");
+  }
 }
 
 }  // namespace tp

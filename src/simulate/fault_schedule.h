@@ -32,6 +32,9 @@
 namespace tp {
 
 class Router;  // routing/router.h; referenced by RecoveryConfig
+namespace obs {
+class LinkProbe;  // obs/linkprobe.h; checked by check_sim_setup
+}
 
 enum class FaultEventKind { Fail, Repair };
 
@@ -114,10 +117,6 @@ class FaultClock {
   i64 fails_applied() const { return fails_; }
   i64 repairs_applied() const { return repairs_; }
 
-  /// Cycle of the next unapplied event, or -1 when the schedule is
-  /// exhausted (lets simulators fast-forward idle stretches).
-  i64 next_event_cycle() const;
-
  private:
   const Torus& torus_;
   const FaultSchedule& schedule_;
@@ -153,6 +152,22 @@ struct RecoveryConfig {
   u64 seed = 1;
 
   bool enabled() const { return schedule != nullptr && !schedule->empty(); }
+
+  /// Charges a blocked message one retry: returns the cycles it waits
+  /// (backoff_base << min(attempts, 20)) and counts the attempt, or -1
+  /// once `attempts` has reached max_retries and the message is dropped.
+  i64 charge_retry(i64& attempts) const;
+
+  /// Cycles a dynamic run adds to its livelock guard: the schedule's tail
+  /// plus two full backoff ladders per message (retries of distinct
+  /// messages overlap, so per-message slack suffices).
+  i64 budget_slack() const;
 };
+
+/// Checks the knobs every simulator takes: an optional link probe must be
+/// sized for `torus`, and an enabled recovery config needs a reroute
+/// router, max_retries >= 0 and backoff_base >= 1.  Throws tp::Error.
+void check_sim_setup(const Torus& torus, const obs::LinkProbe* probe,
+                     const RecoveryConfig& recovery);
 
 }  // namespace tp

@@ -6,24 +6,12 @@
 #include <optional>
 
 #include "src/obs/obs.h"
+#include "src/routing/deadlock.h"
 #include "src/routing/fault_router.h"
 #include "src/util/error.h"
 #include "src/util/prng.h"
 
 namespace tp {
-
-namespace {
-
-/// True when traversing this link crosses its ring's dateline (the wrap
-/// from k-1 to 0 in +, or 0 to k-1 in -).
-bool crosses_dateline(const Torus& torus, const Link& link) {
-  const i32 k = torus.radix(link.dim);
-  const i32 a = torus.coord_of(link.tail, link.dim);
-  return (link.dir == Dir::Pos && a == k - 1) ||
-         (link.dir == Dir::Neg && a == 0);
-}
-
-}  // namespace
 
 WormholeSim::WormholeSim(const Torus& torus, WormholeConfig config)
     : torus_(torus), config_(config) {
@@ -34,17 +22,7 @@ WormholeSim::WormholeSim(const Torus& torus, WormholeConfig config)
   if (config_.policy == VcPolicy::Dateline)
     TP_REQUIRE(config_.vcs_per_link >= 2,
                "the dateline discipline needs two VCs");
-  if (config_.probe != nullptr)
-    TP_REQUIRE(config_.probe->num_links() == torus.num_directed_edges(),
-               "link probe sized for a different torus");
-  if (config_.recovery.enabled()) {
-    TP_REQUIRE(config_.recovery.reroute_router != nullptr,
-               "a dynamic fault schedule needs recovery.reroute_router");
-    TP_REQUIRE(config_.recovery.max_retries >= 0,
-               "max_retries must be non-negative");
-    TP_REQUIRE(config_.recovery.backoff_base >= 1,
-               "backoff_base must be >= 1");
-  }
+  check_sim_setup(torus, config_.probe, config_.recovery);
 }
 
 WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
@@ -160,7 +138,8 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
   // message once the budget is spent.
   auto handle_blocked = [&](std::size_t mi) {
     Msg& m = msgs[mi];
-    if (m.attempts >= config_.recovery.max_retries) {
+    const i64 wait = config_.recovery.charge_retry(m.attempts);
+    if (wait < 0) {
       m.done = true;
       m.retry_at = -1;
       --outstanding;
@@ -168,9 +147,6 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
       if (trace_on) tr.instant("sim.drop", "fault");
       return;
     }
-    const i64 wait = config_.recovery.backoff_base
-                     << std::min<i64>(m.attempts, 20);
-    ++m.attempts;
     ++result.retries;
     if (trace_on) tr.instant("sim.retry", "fault");
     m.retry_at = cycle + wait;

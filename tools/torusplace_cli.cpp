@@ -424,8 +424,25 @@ int cmd_routes(const Args& args) {
   const i32 k = static_cast<i32>(args.get_int("k", 5));
   const RouterKind kind = parse_router(args.get("router", "udr"));
   Torus torus(d, k);
-  const NodeId src = torus.node_id(parse_coord(args.get("src", "0,0,0")));
-  const NodeId dst = torus.node_id(parse_coord(args.get("dst", "1,2,3")));
+  // Defaults: from the origin to (1, 2, ..., d) mod k.
+  auto node_option = [&](const std::string& name, i32 step) {
+    Coord c;
+    if (!args.has(name)) {
+      for (i32 i = 0; i < d; ++i) c.push_back(step * (i + 1) % k);
+      return torus.node_id(c);
+    }
+    c = parse_coord(args.get(name));
+    if (static_cast<i32>(c.size()) != d)
+      throw UsageError("--" + name + " needs " + std::to_string(d) +
+                       " coordinates, got " + std::to_string(c.size()));
+    for (const i32 v : c)
+      if (v < 0 || v >= k)
+        throw UsageError("--" + name + " coordinate " + std::to_string(v) +
+                         " is outside [0, " + std::to_string(k) + ")");
+    return torus.node_id(c);
+  };
+  const NodeId src = node_option("src", 0);
+  const NodeId dst = node_option("dst", 1);
   const auto router = make_router(kind);
 
   std::cout << router->name() << " paths " << torus.node_str(src) << " -> "
